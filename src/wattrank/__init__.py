@@ -10,7 +10,6 @@ from .dataset_builder import (
     feature_names,
     make_sample,
     select_features,
-    standardize,
 )
 from .device_catalog import DeviceSpec, default_catalog, device_to_features, load_catalog
 from .errors import WattrankError

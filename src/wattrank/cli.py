@@ -130,23 +130,18 @@ def _print_metrics(tag: str, metrics: dict) -> None:
 
 def _cmd_train(args) -> int:
     ds = dataset_builder.load_dataset(args.dataset)
-    input_dim = ds.samples[0].features.shape[0]
 
     mask = None
     if args.select_threshold is not None:
         importance = dataset_builder.feature_importance(ds, args.select_target)
-        mask = tuple(dataset_builder.select_features(importance, args.select_threshold))
-        input_dim = sum(mask)
-        print(f"feature selection keeps {input_dim} features")
+        mask = dataset_builder.select_features(importance, args.select_threshold)
+        print(f"feature selection keeps {sum(mask)} features")
 
-    hidden = _parse_hidden(args.hidden)
     config = estimator.TrainConfig(lr=args.lr, epochs=args.epochs, patience=args.patience)
-    model = estimator.init_model(input_dim, hidden, seed=args.seed)
-    if mask is not None:
-        model = estimator.MlpModel(
-            layer_dims=model.layer_dims, weights=model.weights, biases=model.biases,
-            norm=None, seed=model.seed, feature_mask=mask,
-        )
+    model = estimator.init_model(
+        ds.samples[0].features.shape[0], _parse_hidden(args.hidden),
+        seed=args.seed, feature_mask=mask,
+    )
     trained, history = estimator.train(model, ds, config)
     estimator.save_model(trained, args.out)
     _print_metrics("mlp", estimator.evaluate(trained, ds))
@@ -154,57 +149,7 @@ def _cmd_train(args) -> int:
         f"trained {trained.layer_dims} for {trained.epochs_trained} epochs "
         f"(best epoch {history.best_epoch}) -> {args.out}"
     )
-
-    if args.separate_heads:
-        # Comparison run: one dedicated network per target (the duplicated
-        # target columns make it single-target in effect).
-        for column, tag in ((0, "power"), (1, "perf")):
-            head = estimator.init_model(input_dim, hidden, seed=args.seed)
-            head_ds = _single_target_view(ds, column)
-            head_trained, _ = estimator.train(
-                estimator.MlpModel(
-                    layer_dims=head.layer_dims, weights=head.weights,
-                    biases=head.biases, norm=None, seed=head.seed, feature_mask=mask,
-                ),
-                head_ds, config,
-            )
-            metrics = estimator.evaluate(head_trained, head_ds)
-            print(
-                f"separate {tag} head: val mse {metrics['val']['power']['mse']:.6g} "
-                f"r2 {metrics['val']['power']['r2']:.4f}"
-            )
-            estimator.save_model(head_trained, f"{args.out}.{tag}.json")
     return 0
-
-
-def _single_target_view(ds, column: int):
-    """Dataset with the selected target duplicated into both slots, so a
-    comparison head trains on one target without new target plumbing."""
-    import numpy as np
-
-    from .dataset_builder import LabeledSample, TrainingDataset
-
-    samples = []
-    for s in ds.samples:
-        value = (s.power_w, s.perf_ips)[column]
-        samples.append(
-            LabeledSample(
-                workload_id=s.workload_id, device_name=s.device_name,
-                features=s.features, power_w=value, perf_ips=value,
-            )
-        )
-    mean = ds.target_means[column]
-    std = ds.target_stds[column]
-    return TrainingDataset(
-        samples=samples,
-        train_indices=ds.train_indices,
-        val_indices=ds.val_indices,
-        feature_means=ds.feature_means,
-        feature_stds=ds.feature_stds,
-        target_means=np.array([mean, mean]),
-        target_stds=np.array([std, std]),
-        seed=ds.seed,
-    )
 
 
 def _cmd_eval(args) -> int:
@@ -280,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--select-threshold", type=float, default=None,
                    help="drop features with |correlation| below this")
     p.add_argument("--select-target", choices=("power", "perf"), default="power")
-    p.add_argument("--separate-heads", action="store_true",
-                   help="also train one single-output network per target")
     p.add_argument("--out", required=True, help="model JSON to write")
     p.set_defaults(func=_cmd_train)
 

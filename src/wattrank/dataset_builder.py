@@ -23,7 +23,7 @@ from .instruction_profiler import (
     class_feature_names,
     profile_to_features,
 )
-from .telemetry_ingest import RunRecord
+from .telemetry_ingest import RunRecord, UnparsableValue
 
 
 class TooFewSamples(WattrankError):
@@ -41,6 +41,12 @@ def feature_names() -> list[str]:
     return class_feature_names() + DEVICE_FEATURE_NAMES
 
 
+def _column_names(width: int) -> list[str]:
+    """:func:`feature_names` for the 14-column contract, ``f0..f{w-1}`` otherwise."""
+    names = feature_names()
+    return names if width == len(names) else [f"f{i}" for i in range(width)]
+
+
 @dataclass(frozen=True)
 class LabeledSample:
     workload_id: str
@@ -55,7 +61,7 @@ def make_sample(
 ) -> LabeledSample:
     """Build one training row; raw class counts + device features."""
     features = np.concatenate(
-        [profile_to_features(profile, "raw"), device_to_features(device)]
+        [profile_to_features(profile), device_to_features(device)]
     )
     return LabeledSample(
         workload_id=record.workload_id,
@@ -81,6 +87,7 @@ def sample_to_json(sample: LabeledSample) -> str:
 
 
 def sample_from_json(text: str) -> LabeledSample:
+    """Parse one sample; rejects anything but 14 finite features and targets."""
     try:
         doc = json.loads(text)
         names = doc.get("feature_names")
@@ -88,7 +95,7 @@ def sample_from_json(text: str) -> LabeledSample:
             raise InconsistentFeatureLength(
                 f"sample feature ordering {names} does not match the contract"
             )
-        return LabeledSample(
+        sample = LabeledSample(
             workload_id=str(doc["workload_id"]),
             device_name=str(doc["device_name"]),
             features=np.asarray(doc["features"], dtype=float),
@@ -97,6 +104,14 @@ def sample_from_json(text: str) -> LabeledSample:
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InconsistentFeatureLength(f"bad sample JSON: {exc}") from exc
+    if sample.features.shape != (len(feature_names()),):
+        raise InconsistentFeatureLength(
+            f"sample has feature shape {sample.features.shape}, "
+            f"expected ({len(feature_names())},)"
+        )
+    if not np.isfinite([*sample.features, sample.power_w, sample.perf_ips]).all():
+        raise InconsistentFeatureLength("sample has a non-finite feature or target")
+    return sample
 
 
 @dataclass(frozen=True)
@@ -148,19 +163,8 @@ class TrainingDataset:
     samples: list[LabeledSample]
     train_indices: list[int]
     val_indices: list[int]
-    feature_means: np.ndarray
-    feature_stds: np.ndarray
-    target_means: np.ndarray
-    target_stds: np.ndarray
+    norm: NormStats
     seed: int
-
-    def norm_stats(self) -> NormStats:
-        return NormStats(
-            feature_means=self.feature_means,
-            feature_stds=self.feature_stds,
-            target_means=self.target_means,
-            target_stds=self.target_stds,
-        )
 
     def feature_matrix(self, indices=None) -> np.ndarray:
         rows = self.samples if indices is None else [self.samples[i] for i in indices]
@@ -180,18 +184,21 @@ def _split_indices(
         perm = rng.permutation(n)
         return [int(i) for i in perm[:n_train]], [int(i) for i in perm[n_train:]]
     # Grouped mode keeps all rows of one workload on the same side, so the
-    # 70/30 law only holds approximately.
+    # 70/30 law only holds approximately: the shuffled groups are cut where
+    # the train side comes nearest to n_train rows (ties go to the larger
+    # train side), leaving at least one group on each side.
     unique = sorted(set(groups))
-    order = rng.permutation(len(unique))
-    train: list[int] = []
-    val: list[int] = []
-    for position in order:
-        members = [i for i, g in enumerate(groups) if g == unique[position]]
-        if len(train) < n_train:
-            train.extend(members)
-        else:
-            val.extend(members)
-    return train, val
+    if len(unique) < 2:
+        raise WattrankError(
+            f"a grouped split needs at least 2 workloads, got {len(unique)}"
+        )
+    blocks = [
+        [i for i, g in enumerate(groups) if g == unique[position]]
+        for position in rng.permutation(len(unique))
+    ]
+    sizes = np.cumsum([len(b) for b in blocks])
+    cut = min(range(1, len(blocks)), key=lambda k: (abs(sizes[k - 1] - n_train), -k))
+    return [i for b in blocks[:cut] for i in b], [i for b in blocks[cut:] for i in b]
 
 
 def assemble(
@@ -199,8 +206,9 @@ def assemble(
 ) -> TrainingDataset:
     """Deterministic shuffle-and-split plus train-side normalization stats.
 
-    Raises :class:`TooFewSamples` below n=3 and
-    :class:`InconsistentFeatureLength` if rows disagree on feature count.
+    Raises :class:`TooFewSamples` below n=3,
+    :class:`InconsistentFeatureLength` if rows disagree on feature count, and
+    :class:`WattrankError` when a grouped split has fewer than 2 workloads.
     """
     n = len(samples)
     if n < 3:
@@ -222,23 +230,9 @@ def assemble(
         samples=list(samples),
         train_indices=train_idx,
         val_indices=val_idx,
-        feature_means=X.mean(axis=0),
-        feature_stds=X.std(axis=0),
-        target_means=Y.mean(axis=0),
-        target_stds=Y.std(axis=0),
+        norm=NormStats(X.mean(axis=0), X.std(axis=0), Y.mean(axis=0), Y.std(axis=0)),
         seed=seed,
     )
-
-
-def standardize(ds: TrainingDataset, v: np.ndarray) -> np.ndarray:
-    """Z-score a feature vector (or row matrix); constant columns map to 0."""
-    return ds.norm_stats().standardize_features(v)
-
-
-def unstandardize(ds: TrainingDataset, v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`standardize` for non-constant columns; constant
-    columns recover their (train) mean."""
-    return np.asarray(v, dtype=float) * ds.feature_stds + ds.feature_means
 
 
 _TARGET_COLUMN = {"power": 0, "perf": 1}
@@ -256,9 +250,7 @@ def feature_importance(
         raise ValueError(f"target must be 'power' or 'perf', got {target!r}")
     X = ds.feature_matrix(ds.train_indices)
     y = ds.target_matrix(ds.train_indices)[:, _TARGET_COLUMN[target]]
-    names = feature_names() if X.shape[1] == len(feature_names()) else [
-        f"f{i}" for i in range(X.shape[1])
-    ]
+    names = _column_names(X.shape[1])
 
     xc = X - X.mean(axis=0)
     yc = y - y.mean()
@@ -279,15 +271,12 @@ def feature_importance(
 def select_features(
     importance: list[tuple[str, float]], threshold: float
 ) -> list[bool]:
-    """Boolean mask over :func:`feature_names` order keeping features with
+    """Boolean mask in dataset column order keeping features with
     |score| >= threshold; the top-scored feature is always kept."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    order = feature_names() if len(importance) == len(feature_names()) and all(
-        name in feature_names() for name, _ in importance
-    ) else [name for name, _ in importance]
-    position = {name: i for i, name in enumerate(order)}
-    mask = [False] * len(order)
+    position = {name: i for i, name in enumerate(_column_names(len(importance)))}
+    mask = [False] * len(position)
     for name, score in importance:
         if abs(score) >= threshold:
             mask[position[name]] = True
@@ -302,11 +291,7 @@ def save_dataset(ds: TrainingDataset, prefix) -> tuple[Path, Path]:
     prefix = Path(prefix)
     csv_path = prefix.with_suffix(".csv")
     json_path = prefix.with_suffix(".json")
-    names = (
-        feature_names()
-        if ds.samples[0].features.shape[0] == len(feature_names())
-        else [f"f{i}" for i in range(ds.samples[0].features.shape[0])]
-    )
+    names = _column_names(ds.samples[0].features.shape[0])
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["workload_id", "device_name", *names, "power_w", "perf_ips"])
@@ -320,7 +305,7 @@ def save_dataset(ds: TrainingDataset, prefix) -> tuple[Path, Path]:
         "seed": ds.seed,
         "train_indices": list(ds.train_indices),
         "val_indices": list(ds.val_indices),
-        "norm_stats": ds.norm_stats().to_dict(),
+        "norm_stats": ds.norm.to_dict(),
         "feature_names": names,
     }
     with open(json_path, "w", encoding="utf-8") as fh:
@@ -330,40 +315,42 @@ def save_dataset(ds: TrainingDataset, prefix) -> tuple[Path, Path]:
 
 
 def load_dataset(prefix) -> TrainingDataset:
-    """Inverse of :func:`save_dataset`; restores stats without recomputing."""
+    """Inverse of :func:`save_dataset`; restores stats without recomputing.
+
+    A row whose field count differs from the header's, or a non-numeric or
+    non-finite cell, raises :class:`UnparsableValue` naming its CSV row.
+    """
     prefix = Path(prefix)
     with open(prefix.with_suffix(".csv"), newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:2] != ["workload_id", "device_name"] or header[-2:] != [
             "power_w",
             "perf_ips",
         ]:
             raise InconsistentFeatureLength(f"unexpected dataset header {header!r}")
-        width = len(header) - 4
         samples = []
-        for row in reader:
+        for row_number, row in enumerate(reader, start=2):
             if not row:
                 continue
-            samples.append(
-                LabeledSample(
-                    workload_id=row[0],
-                    device_name=row[1],
-                    features=np.array([float(x) for x in row[2 : 2 + width]]),
-                    power_w=float(row[-2]),
-                    perf_ips=float(row[-1]),
+            if len(row) != len(header):
+                raise UnparsableValue(
+                    row_number, f"{len(row)} fields, header has {len(header)}"
                 )
-            )
+            try:
+                values = np.array([float(x) for x in row[2:]])
+            except ValueError as exc:
+                raise UnparsableValue(row_number, str(exc)) from exc
+            if not np.isfinite(values).all():
+                raise UnparsableValue(row_number, "non-finite value")
+            power_w, perf_ips = values[-2:].tolist()
+            samples.append(LabeledSample(row[0], row[1], values[:-2], power_w, perf_ips))
     with open(prefix.with_suffix(".json"), encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    norm = NormStats.from_dict(sidecar["norm_stats"])
     return TrainingDataset(
         samples=samples,
         train_indices=[int(i) for i in sidecar["train_indices"]],
         val_indices=[int(i) for i in sidecar["val_indices"]],
-        feature_means=norm.feature_means,
-        feature_stds=norm.feature_stds,
-        target_means=norm.target_means,
-        target_stds=norm.target_stds,
+        norm=NormStats.from_dict(sidecar["norm_stats"]),
         seed=int(sidecar["seed"]),
     )

@@ -89,18 +89,28 @@ def init_model(
     input_dim: int,
     hidden_spec: list[int] | None = None,
     seed: int = 42,
-    output_dim: int = 2,
+    feature_mask: tuple[bool, ...] | None = None,
 ) -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic in ``seed``.
 
-    ``hidden_spec`` defaults to [2*input_dim, input_dim]; an empty list
+    ``feature_mask`` (``input_dim`` entries) keeps the marked columns, so
+    the first layer is w = ``sum(feature_mask)`` wide (w = ``input_dim``
+    without a mask).  ``hidden_spec`` defaults to [2w, w]; an empty list
     yields a plain linear map.
     """
-    if input_dim < 1:
-        raise DimensionMismatch(f"input_dim must be >= 1, got {input_dim}")
+    width = input_dim
+    if feature_mask is not None:
+        if len(feature_mask) != input_dim:
+            raise DimensionMismatch(
+                f"feature_mask has {len(feature_mask)} entries for {input_dim} inputs"
+            )
+        feature_mask = tuple(bool(keep) for keep in feature_mask)
+        width = sum(feature_mask)
+    if width < 1:
+        raise DimensionMismatch(f"model needs at least 1 input feature, got {width}")
     if hidden_spec is None:
-        hidden_spec = [2 * input_dim, input_dim]
-    dims = (input_dim, *hidden_spec, output_dim)
+        hidden_spec = [2 * width, width]
+    dims = (width, *hidden_spec, 2)
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -109,7 +119,8 @@ def init_model(
         weights.append(rng.uniform(-r, r, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
     return MlpModel(
-        layer_dims=dims, weights=weights, biases=biases, norm=None, seed=seed
+        layer_dims=dims, weights=weights, biases=biases, norm=None, seed=seed,
+        feature_mask=feature_mask,
     )
 
 
@@ -170,11 +181,10 @@ def design_matrices(
     ds: TrainingDataset, indices, feature_mask: tuple[bool, ...] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Standardized (X, Y) for the given sample indices, mask applied."""
-    norm = ds.norm_stats()
-    X = norm.standardize_features(ds.feature_matrix(indices))
+    X = ds.norm.standardize_features(ds.feature_matrix(indices))
     if feature_mask is not None:
         X = X[:, np.asarray(feature_mask, dtype=bool)]
-    Y = norm.standardize_targets(ds.target_matrix(indices))
+    Y = ds.norm.standardize_targets(ds.target_matrix(indices))
     return X, Y
 
 
@@ -233,7 +243,7 @@ def train(
         m,
         weights=best_snapshot[0],
         biases=best_snapshot[1],
-        norm=ds.norm_stats(),
+        norm=ds.norm,
         epochs_trained=len(train_hist),
     )
     return trained, TrainHistory(
@@ -315,7 +325,7 @@ def fit_linear_baseline(
     A = Xa.T @ Xa + ridge * np.eye(d + 1)
     coef = np.linalg.solve(A, Xa.T @ Y)  # (d+1, 2)
     return LinearModel(
-        weights=coef[:-1].T, bias=coef[-1], norm=ds.norm_stats(),
+        weights=coef[:-1].T, bias=coef[-1], norm=ds.norm,
         feature_mask=feature_mask,
     )
 
@@ -325,7 +335,7 @@ def predict(m: MlpModel, profile: InstructionProfile, device: DeviceSpec) -> Pre
     if m.norm is None:
         raise FeatureContractMismatch("model has no normalization statistics")
     raw = np.concatenate(
-        [profile_to_features(profile, "raw"), device_to_features(device)]
+        [profile_to_features(profile), device_to_features(device)]
     )
     if raw.size != m.norm.feature_means.size:
         raise FeatureContractMismatch(

@@ -94,18 +94,9 @@ def profile(doc: PtxDocument, workload_id: str) -> InstructionProfile:
     )
 
 
-def profile_to_features(p: InstructionProfile, mode: str = "raw") -> np.ndarray:
-    """Fixed-order feature vector over :data:`CLASS_ORDER`.
-
-    ``raw`` emits the counts; ``normalized`` emits counts/total (all zeros
-    for an empty profile).
-    """
-    if mode not in ("raw", "normalized"):
-        raise ValueError(f"unknown mode {mode!r}")
-    vec = np.array([p.counts.get(cls, 0) for cls in CLASS_ORDER], dtype=float)
-    if mode == "normalized":
-        return vec / p.total if p.total > 0 else np.zeros_like(vec)
-    return vec
+def profile_to_features(p: InstructionProfile) -> np.ndarray:
+    """Raw class counts as a float vector in :data:`CLASS_ORDER`."""
+    return np.array([p.counts.get(cls, 0) for cls in CLASS_ORDER], dtype=float)
 
 
 def class_feature_names() -> list[str]:

@@ -65,17 +65,6 @@ class PtxInstruction:
     def operand_count(self) -> int:
         return len(self.operands)
 
-    def matches(self, other: "PtxInstruction") -> bool:
-        """Field-for-field equality ignoring the source line."""
-        return (
-            self.opcode_root == other.opcode_root
-            and self.modifiers == other.modifiers
-            and self.type_suffix == other.type_suffix
-            and self.operands == other.operands
-            and self.predicated == other.predicated
-            and self.guard == other.guard
-        )
-
 
 @dataclass(frozen=True)
 class PtxDocument:

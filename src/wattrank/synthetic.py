@@ -170,7 +170,7 @@ def generate(config: SyntheticConfig = SyntheticConfig()) -> SyntheticExperiment
         for device in devices:
             feature_rows.append(
                 np.concatenate(
-                    [profile_to_features(prof, "raw"), device_to_features(device)]
+                    [profile_to_features(prof), device_to_features(device)]
                 )
             )
             pairs.append((name, ptx_text, prof, device))

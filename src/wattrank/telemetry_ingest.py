@@ -49,7 +49,6 @@ class PowerTrace:
     """Sampled power draw: (timestamp-or-index, watts) pairs in file order."""
 
     samples: tuple[tuple[float, float], ...]
-    interval_s: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,9 @@ class RunRecord:
     mean_power_w: float
     perf_ips: float
 
+
+#: nvidia-smi's default sampling interval, in seconds.
+SAMPLE_INTERVAL_S = 1.0
 
 _TIMESTAMP_FORMATS = ("%Y/%m/%d %H:%M:%S.%f", "%Y/%m/%d %H:%M:%S")
 
@@ -105,7 +107,9 @@ def _parse_watts(raw: str, row: int) -> float:
     return watts
 
 
-def parse_power_csv_text(text: str, interval_s: float = 1.0) -> PowerTrace:
+def parse_power_csv_text(text: str) -> PowerTrace:
+    """A row without a parsable timestamp is stamped with its sample index
+    times :data:`SAMPLE_INTERVAL_S`."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -138,7 +142,7 @@ def parse_power_csv_text(text: str, interval_s: float = 1.0) -> PowerTrace:
         if time_col is not None and time_col < len(row):
             timestamp = _parse_timestamp(row[time_col])
         if timestamp is None:
-            timestamp = float(len(samples)) * interval_s
+            timestamp = float(len(samples)) * SAMPLE_INTERVAL_S
         if timestamp < last_ts:
             raise UnparsableValue(row_number, "timestamps decrease")
         last_ts = timestamp
@@ -146,13 +150,13 @@ def parse_power_csv_text(text: str, interval_s: float = 1.0) -> PowerTrace:
 
     if not samples:
         raise EmptyTrace("no power samples in file")
-    return PowerTrace(samples=tuple(samples), interval_s=interval_s)
+    return PowerTrace(samples=tuple(samples))
 
 
-def parse_power_csv(path, interval_s: float = 1.0) -> PowerTrace:
+def parse_power_csv(path) -> PowerTrace:
     """Parse an nvidia-smi power log; see :func:`parse_power_csv_text`."""
     with open(path, encoding="utf-8") as fh:
-        return parse_power_csv_text(fh.read(), interval_s=interval_s)
+        return parse_power_csv_text(fh.read())
 
 
 def trace_to_csv(trace: PowerTrace) -> str:

@@ -232,8 +232,8 @@ def test_criterion_9_serialization_round_trips(tmp_path):
     ds2 = load_dataset(tmp_path / "ds")
     assert ds2.train_indices == ds.train_indices
     assert ds2.val_indices == ds.val_indices
-    np.testing.assert_array_equal(ds2.feature_means, ds.feature_means)
-    np.testing.assert_array_equal(ds2.target_stds, ds.target_stds)
+    np.testing.assert_array_equal(ds2.norm.feature_means, ds.norm.feature_means)
+    np.testing.assert_array_equal(ds2.norm.target_stds, ds.norm.target_stds)
     for a, b in zip(ds2.samples, ds.samples):
         assert (a.workload_id, a.device_name) == (b.workload_id, b.device_name)
         np.testing.assert_array_equal(a.features, b.features)

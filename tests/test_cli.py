@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wattrank
 from wattrank import synthetic
 from wattrank.cli import main
 from wattrank.instruction_profiler import profile_from_json
@@ -143,15 +145,19 @@ def test_train_with_feature_selection(workflow, capsys):
     assert out.exists()
 
 
-def test_train_separate_heads(workflow, capsys):
-    root = workflow
-    out = root / "model_heads.json"
-    assert main(["train", "--dataset", str(root / "ds"), "--hidden", "none",
-                 "--epochs", "150", "--patience", "150", "--lr", "0.05",
-                 "--separate-heads", "--out", str(out)]) == 0
-    assert (root / "model_heads.json.power.json").exists()
-    assert (root / "model_heads.json.perf.json").exists()
-    assert "separate" in capsys.readouterr().out
+def test_train_on_dataset_with_bad_cell_exits_one(workflow, tmp_path, capsys):
+    prefix = tmp_path / "ds"
+    assert main(["dataset", "build", "--samples", str(workflow / "samples"),
+                 "--out", str(prefix)]) == 0
+    csv_path = prefix.with_suffix(".csv")
+    lines = csv_path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[4] = "abc"
+    lines[3] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--dataset", str(prefix), "--epochs", "5",
+                 "--out", str(tmp_path / "m.json")]) == 1
+    assert "row 4" in capsys.readouterr().err
 
 
 def test_dataset_build_empty_dir_exits_one(tmp_path):
@@ -163,9 +169,11 @@ def test_dataset_build_empty_dir_exits_one(tmp_path):
 
 def test_module_entry_point(corpus_path, tmp_path):
     out = tmp_path / "p.json"
+    # run from the directory holding the imported package, so the child
+    # process finds it with or without an install
     proc = subprocess.run(
         [sys.executable, "-m", "wattrank", "profile", str(corpus_path), "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=Path(wattrank.__file__).parents[1],
     )
     assert proc.returncode == 0, proc.stderr
     assert profile_from_json(out.read_text()).total == 20

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,16 @@ from wattrank.dataset_builder import (
     sample_to_json,
     save_dataset,
     select_features,
-    standardize,
-    unstandardize,
 )
 from wattrank.device_catalog import DeviceSpec
+from wattrank.errors import WattrankError
 from wattrank.instruction_profiler import profile
-from wattrank.telemetry_ingest import PowerTrace, RunMeta, build_run_record
+from wattrank.telemetry_ingest import (
+    PowerTrace,
+    RunMeta,
+    UnparsableValue,
+    build_run_record,
+)
 
 DEVICE = DeviceSpec("dev", "Test", 10, 640, 1024, 1000.0, 800.0, 200.0)
 
@@ -78,6 +84,28 @@ def test_sample_json_rejects_reordered_features(corpus_doc):
         sample_from_json(mangled)
 
 
+_GOOD_SAMPLE = {
+    "workload_id": "w", "device_name": "d", "features": [1.0] * 14,
+    "power_w": 100.0, "perf_ips": 1e9,
+}
+
+
+@pytest.mark.parametrize("change", [
+    {"features": [1.0] * 5},
+    {"features": [1.0] * 15},
+    {"features": [[1.0] * 14]},
+    {"features": [1.0] * 13 + [float("nan")]},
+    {"features": [1.0] * 13 + ["inf"]},
+    {"power_w": "nan"},
+    {"perf_ips": float("inf")},
+    {"power_w": None},
+])
+def test_sample_json_rejects_bad_samples(change):
+    assert sample_from_json(json.dumps(_GOOD_SAMPLE)).features.shape == (14,)
+    with pytest.raises(InconsistentFeatureLength):
+        sample_from_json(json.dumps({**_GOOD_SAMPLE, **change}))
+
+
 def test_split_sizes():
     ds = assemble(_random_samples(10), seed=42)
     assert len(ds.train_indices) == 7
@@ -126,14 +154,55 @@ def test_grouped_split_keeps_workloads_together():
     assert sorted(ds.train_indices + ds.val_indices) == list(range(24))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_grouped_split_two_workloads_three_devices(seed):
+    workloads = [f"net{i // 3}" for i in range(6)]
+    rng = np.random.default_rng(seed)
+    samples = _samples(rng.normal(size=(6, 4)), rng.uniform(1, 5, (6, 2)), workloads)
+    ds = assemble(samples, seed=seed, group_by_workload=True)
+    assert len(ds.train_indices) == len(ds.val_indices) == 3
+    assert {samples[i].workload_id for i in ds.train_indices} != {
+        samples[i].workload_id for i in ds.val_indices
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grouped_split_cut_nearest_seventy_percent(seed):
+    # 5 workloads x 5 devices: n_train = 17, so 15 train rows beat 20
+    workloads = [f"net{i // 5}" for i in range(25)]
+    rng = np.random.default_rng(seed)
+    samples = _samples(rng.normal(size=(25, 3)), rng.uniform(1, 5, (25, 2)), workloads)
+    ds = assemble(samples, seed=seed, group_by_workload=True)
+    assert (len(ds.train_indices), len(ds.val_indices)) == (15, 10)
+
+
+def test_grouped_split_never_empties_a_side():
+    # group sizes 1 and 10: either order leaves one group on each side
+    workloads = ["small"] + ["big"] * 10
+    rng = np.random.default_rng(2)
+    samples = _samples(rng.normal(size=(11, 3)), rng.uniform(1, 5, (11, 2)), workloads)
+    for seed in range(6):
+        ds = assemble(samples, seed=seed, group_by_workload=True)
+        assert {len(ds.train_indices), len(ds.val_indices)} == {1, 10}
+
+
+def test_grouped_split_needs_two_workloads():
+    rng = np.random.default_rng(0)
+    samples = _samples(rng.normal(size=(5, 3)), rng.uniform(1, 5, (5, 2)), ["only"] * 5)
+    with pytest.raises(WattrankError):
+        assemble(samples, group_by_workload=True)
+
+
 def test_standardize_centering():
     ds = assemble(_random_samples(12), seed=0)
-    np.testing.assert_allclose(standardize(ds, ds.feature_means), 0.0, atol=1e-15)
+    np.testing.assert_allclose(
+        ds.norm.standardize_features(ds.norm.feature_means), 0.0, atol=1e-15
+    )
 
 
 def test_standardized_train_rows_have_unit_moments():
     ds = assemble(_random_samples(40, d=6, seed=3), seed=7)
-    Z = standardize(ds, ds.feature_matrix(ds.train_indices))
+    Z = ds.norm.standardize_features(ds.feature_matrix(ds.train_indices))
     np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-9)
     np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-9)
 
@@ -143,14 +212,7 @@ def test_constant_column_maps_to_zero():
     X[:, 1] = 4.25
     ds = assemble(_samples(X, np.ones((10, 2))), seed=0)
     probe = np.array([1.0, 99.0, 2.0])
-    assert standardize(ds, probe)[1] == 0.0
-
-
-def test_unstandardize_inverts_nonconstant_columns():
-    ds = assemble(_random_samples(25, d=6, seed=2), seed=11)
-    rng = np.random.default_rng(4)
-    v = rng.normal(size=6) * 10
-    np.testing.assert_allclose(unstandardize(ds, standardize(ds, v)), v, atol=1e-12)
+    assert ds.norm.standardize_features(probe)[1] == 0.0
 
 
 def test_importance_self_and_anti_correlation():
@@ -210,20 +272,30 @@ def test_importance_constant_column_scores_zero():
 
 
 def test_select_features_thresholds():
-    importance = [("a", 0.9), ("b", 0.4), ("c", 0.1)]
+    importance = [("f0", 0.9), ("f1", 0.4), ("f2", 0.1)]
     assert select_features(importance, 0.0) == [True, True, True]
     assert select_features(importance, 0.3) == [True, True, False]
     assert select_features(importance, 1.0) == [True, False, False]
 
 
 def test_select_features_negative_scores_use_magnitude():
-    importance = [("a", -0.8), ("b", 0.2)]
+    importance = [("f0", -0.8), ("f1", 0.2)]
     assert select_features(importance, 0.5) == [True, False]
 
 
 def test_select_features_threshold_validated():
     with pytest.raises(ValueError):
-        select_features([("a", 0.5)], 1.5)
+        select_features([("f0", 0.5)], 1.5)
+
+
+def test_select_features_mask_is_in_column_order():
+    # importance arrives sorted by |score|, not by column
+    importance = [("f2", 0.98), ("f0", 0.36), ("f1", -0.11)]
+    assert select_features(importance, 0.2) == [True, False, True]
+    assert select_features(importance, 0.99) == [False, False, True]
+    names = feature_names()
+    ranked = [(names[3], 0.9)] + [(name, 0.0) for name in names if name != names[3]]
+    assert select_features(ranked, 0.5) == [i == 3 for i in range(14)]
 
 
 @given(st.integers(min_value=3, max_value=60), st.integers(min_value=0, max_value=2**31))
@@ -253,16 +325,29 @@ def test_dataset_save_load_round_trip(tmp_path, corpus_doc):
     assert again.seed == ds.seed
     assert again.train_indices == ds.train_indices
     assert again.val_indices == ds.val_indices
-    np.testing.assert_array_equal(again.feature_means, ds.feature_means)
-    np.testing.assert_array_equal(again.feature_stds, ds.feature_stds)
-    np.testing.assert_array_equal(again.target_means, ds.target_means)
-    np.testing.assert_array_equal(again.target_stds, ds.target_stds)
+    np.testing.assert_array_equal(again.norm.feature_means, ds.norm.feature_means)
+    np.testing.assert_array_equal(again.norm.feature_stds, ds.norm.feature_stds)
+    np.testing.assert_array_equal(again.norm.target_means, ds.norm.target_means)
+    np.testing.assert_array_equal(again.norm.target_stds, ds.norm.target_stds)
     for a, b in zip(again.samples, ds.samples):
         assert a.workload_id == b.workload_id
         assert a.device_name == b.device_name
         np.testing.assert_array_equal(a.features, b.features)
         assert a.power_w == b.power_w
         assert a.perf_ips == b.perf_ips
+
+
+@pytest.mark.parametrize("bad_cell", ["abc", "", "nan", "-inf", None])
+def test_load_dataset_rejects_bad_row_naming_it(tmp_path, bad_cell):
+    ds = assemble(_random_samples(6, d=14), seed=1)
+    csv_path, _ = save_dataset(ds, tmp_path / "ds")
+    lines = csv_path.read_text().splitlines()
+    cells = lines[2].split(",")
+    lines[2] = ",".join(cells[:-1] if bad_cell is None else [*cells[:5], bad_cell, *cells[6:]])
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UnparsableValue) as info:
+        load_dataset(tmp_path / "ds")
+    assert info.value.row == 3
 
 
 def test_dataset_csv_header_names(tmp_path):

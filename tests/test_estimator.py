@@ -76,6 +76,25 @@ def test_zero_hidden_layers_is_linear_map():
     assert m.layer_dims == (14, 2)
 
 
+@pytest.mark.parametrize("hidden", [None, []])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_masked_init_matches_init_at_masked_width(hidden, seed):
+    mask = (True, False, True, True) + (False,) * 7 + (True, False, True)
+    masked = init_model(14, hidden, seed=seed, feature_mask=mask)
+    plain = init_model(sum(mask), hidden, seed=seed)
+    assert masked.feature_mask == mask
+    assert masked.layer_dims == plain.layer_dims
+    for a, b in zip(masked.weights, plain.weights, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_init_rejects_mask_of_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        init_model(14, feature_mask=(True,) * 13)
+    with pytest.raises(DimensionMismatch):
+        init_model(3, feature_mask=(False, False, False))
+
+
 def test_forward_zero_network():
     m = init_model(6, [4], seed=0)
     zeros = MlpModel(m.layer_dims, [np.zeros_like(w) for w in m.weights],
@@ -293,7 +312,7 @@ def test_predict_equals_manual_pipeline_composition(corpus_doc):
     from wattrank.device_catalog import device_to_features
     from wattrank.instruction_profiler import profile_to_features
 
-    raw = np.concatenate([profile_to_features(prof, "raw"), device_to_features(DEVICE_A)])
+    raw = np.concatenate([profile_to_features(prof), device_to_features(DEVICE_A)])
     manual = trained.norm.destandardize_targets(
         forward(trained, trained.norm.standardize_features(raw))
     )
@@ -324,9 +343,8 @@ def test_predict_feature_contract_mismatch(corpus_doc):
 def test_feature_mask_training_and_prediction(corpus_doc):
     _, ds = _pipeline_fixture(seed=5)
     mask = tuple([True] + [False] * 7 + [True] * 6)
-    m = init_model(sum(mask), [], seed=0)
-    masked = MlpModel(m.layer_dims, m.weights, m.biases, None, m.seed, feature_mask=mask)
-    trained, _ = train(masked, ds, TrainConfig(epochs=60, patience=100))
+    trained, _ = train(init_model(14, [], seed=0, feature_mask=mask), ds,
+                       TrainConfig(epochs=60, patience=100))
     prediction = predict(trained, profile(corpus_doc, "copy_kernel"), DEVICE_A)
     assert np.isfinite([prediction.power_w, prediction.perf_ips]).all()
 

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -80,24 +79,7 @@ def test_single_comparison_instruction():
 
 def test_feature_vector_raw_order(corpus_doc):
     prof = profile(corpus_doc, "copy_kernel")
-    assert profile_to_features(prof, "raw").tolist() == [8, 3, 9, 0, 0, 0, 0, 0]
-
-
-def test_feature_vector_normalized(corpus_doc):
-    prof = profile(corpus_doc, "copy_kernel")
-    vec = profile_to_features(prof, "normalized")
-    np.testing.assert_allclose(vec, [0.40, 0.15, 0.45, 0, 0, 0, 0, 0], atol=1e-12)
-    assert abs(vec.sum() - 1.0) <= 1e-12
-
-
-def test_normalized_empty_profile_is_zero():
-    prof = profile(parse_ptx(""), "empty")
-    assert profile_to_features(prof, "normalized").tolist() == [0.0] * 8
-
-
-def test_unknown_mode_rejected(corpus_doc):
-    with pytest.raises(ValueError):
-        profile_to_features(profile(corpus_doc, "x"), "percent")
+    assert profile_to_features(prof).tolist() == [8, 3, 9, 0, 0, 0, 0, 0]
 
 
 _KNOWN_ROOTS = [
@@ -111,9 +93,7 @@ def test_partition_property(roots):
     doc = parse_ptx("\n".join(f"{root}.u32 %r1, %r2;" for root in roots))
     prof = profile(doc, "generated")
     assert sum(prof.counts.values()) == prof.total == len(roots)
-    vec = profile_to_features(prof, "normalized")
-    if prof.total:
-        assert abs(vec.sum() - 1.0) <= 1e-12
+    assert profile_to_features(prof).sum() == prof.total
 
 
 def test_identical_documents_identical_profiles(corpus_doc):

@@ -86,8 +86,8 @@ def test_nvidia_smi_timestamps_parsed():
 
 
 def test_index_fallback_without_timestamp_column():
-    trace = parse_power_csv_text("power.draw [W]\n100 W\n110 W\n", interval_s=2.0)
-    assert [ts for ts, _ in trace.samples] == [0.0, 2.0]
+    trace = parse_power_csv_text("power.draw [W]\n100 W\n110 W\n")
+    assert [ts for ts, _ in trace.samples] == [0.0, 1.0]
 
 
 def test_serialization_round_trip():
