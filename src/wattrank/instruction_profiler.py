@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +88,10 @@ def classify(inst: PtxInstruction) -> InstructionClass:
 def profile(doc: PtxDocument, workload_id: str) -> InstructionProfile:
     """Count instructions per class. Classes with zero hits are kept at 0."""
     counts = {cls: 0 for cls in CLASS_ORDER}
-    for inst in doc.instructions:
-        counts[classify(inst)] += 1
+    for root, n in Counter(doc.opcode_roots).items():
+        counts[classify_opcode(root)] += n
     return InstructionProfile(
-        workload_id=workload_id, counts=counts, total=len(doc.instructions)
+        workload_id=workload_id, counts=counts, total=len(doc.opcode_roots)
     )
 
 

@@ -1,24 +1,26 @@
-"""Line-oriented parser for NVIDIA PTX assembly text.
+"""Statement-oriented parser for NVIDIA PTX assembly text.
 
-Implements the textual PTX 7.x subset needed for static opcode analysis:
-each instruction statement is split into an opcode root, its dot-separated
-modifiers, an optional trailing data-type suffix, and comma-separated
-operands.  Directives (leading ``.``), labels, and braces are recognized,
-counted, and skipped; ``.entry`` directives additionally contribute kernel
-names.  Comments (``//`` and ``/* */``) are stripped before statement
-splitting.  There is no semantic checking (register typing, ABI): unknown
-or future opcodes parse fine and are classified downstream.
-
-Statements are processed per physical line.  Multi-line directive headers
-(e.g. an ``.entry`` parameter list) count one skipped statement per line,
-and line fragments that never reach a ``;`` terminator are skipped rather
-than rejected.
+Implements the textual PTX 7.x subset needed for static opcode analysis.
+Comments (``//`` and ``/* */``) are stripped, then one regex pass splits
+the text into statements.  As in the PTX ISA, newlines are whitespace, so
+nvcc's multi-line ``.extern .func`` declarations and ``call`` statements
+are single statements.  Braces, labels and directives are counted and
+skipped (``.version``, ``.target``, ``.address_size``, ``.file`` and
+``.loc`` end at the line, other directives at ``;`` or before a body
+``{``); ``.entry`` directives also contribute kernel names.  Trailing text
+with no ``;`` is counted as an unterminated fragment.  Every other
+statement is an instruction: parsing keeps its opcode root, text and line,
+and :attr:`PtxDocument.instructions` decodes it on first use into root,
+modifiers, data-type suffix and operands.  There is no semantic checking
+(register typing, ABI): unknown opcodes parse fine and are classified
+downstream.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import WattrankError
@@ -40,13 +42,34 @@ TYPE_SUFFIXES = frozenset(
     f"{kind}{width}" for kind in "usb" for width in (8, 16, 32, 64)
 ) | {"f16", "f32", "f64", "pred"}
 
-_LABEL_RE = re.compile(r"[A-Za-z_$%][A-Za-z0-9_$]*:")
 _GUARD_RE = re.compile(r"@\s*!?\s*%?[A-Za-z_$][A-Za-z0-9_$]*")
 _ENTRY_RE = re.compile(r"\.entry\s+([A-Za-z_$%][A-Za-z0-9_$]*)")
-_BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
+_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 
-_OPEN = "([{"
-_CLOSE = ")]}"
+# An operand of the common shape: a flat token or one unnested bracket group.
+_ATOM = r"(?:[^\s,;()\[\]{}]+|\[[^;()\[\]{}]*\]|\{[^;()\[\]{}]*\}|\([^;()\[\]{}]*\))"
+# One statement per match, after optional whitespace.  Groups: ``stmt`` is an
+# instruction's text before its ``;`` and ``root`` its opcode root when the
+# statement has the common shape (guard, ``root.mods``, comma-separated
+# atoms), which _parse_instruction is certain to accept; ``directive`` is a
+# directive that may name an ``.entry``; ``fragment`` is trailing text with
+# no ``;``.  Braces, labels and line-terminated directives match no group.
+_STATEMENT_RE = re.compile(
+    rf"""\s*(?:
+        [{{}}]
+      | [A-Za-z_$%][A-Za-z0-9_$]*:
+      | \.(?:version|target|address_size|file|loc)\b[^;\n]*;?
+      | (?P<directive>\.[^;{{}}=]*(?:=[^;]*)?);?
+      | (?P<stmt>
+            (?:@!?%?[A-Za-z_$][A-Za-z0-9_$]*\s+)?
+            (?P<root>[A-Za-z_][A-Za-z0-9_]*)(?:\.[A-Za-z0-9_]+)*
+            (?:\s+{_ATOM}(?:\s*,\s*{_ATOM})*)?\s*(?=;)
+          | [^;]*
+        );
+      | (?P<fragment>\S[\s\S]*)
+    )""",
+    re.VERBOSE,
+)
 
 
 @dataclass(frozen=True)
@@ -68,31 +91,19 @@ class PtxInstruction:
 
 @dataclass(frozen=True)
 class PtxDocument:
-    """All instructions of one PTX file, in source order."""
+    """One PTX file's instructions in source order: their opcode roots, and
+    each one's text (without the ``;``) with the line it starts on."""
 
-    instructions: tuple[PtxInstruction, ...]
+    opcode_roots: tuple[str, ...]
+    statements: tuple[tuple[str, int], ...]
     kernel_names: tuple[str, ...]
-    skipped_directive_count: int
+    skipped_directive_count: int  # directives, labels and braces
+    fragment_count: int  # unterminated trailing text
 
-
-def _strip_comments(text: str) -> list[str]:
-    """Blank out comments while preserving the physical line structure."""
-
-    def _blank(match: re.Match) -> str:
-        return "".join(c if c == "\n" else " " for c in match.group())
-
-    text = _BLOCK_COMMENT_RE.sub(_blank, text)
-    return [line.split("//", 1)[0] for line in text.split("\n")]
-
-
-def _take_directive(rest: str) -> tuple[str, str]:
-    """Split off one directive statement; stops at ``;`` or a brace."""
-    i = 0
-    while i < len(rest) and rest[i] not in ";{}":
-        i += 1
-    if i < len(rest) and rest[i] == ";":
-        return rest[:i], rest[i + 1 :].lstrip()
-    return rest[:i], rest[i:].lstrip()
+    @cached_property
+    def instructions(self) -> tuple[PtxInstruction, ...]:
+        """Every instruction statement, decoded on first access."""
+        return tuple(_parse_instruction(stmt, line) for stmt, line in self.statements)
 
 
 def _split_operands(text: str, line: int) -> tuple[str, ...]:
@@ -101,9 +112,9 @@ def _split_operands(text: str, line: int) -> tuple[str, ...]:
     depth = 0
     current: list[str] = []
     for ch in text:
-        if ch in _OPEN:
+        if ch in "([{":
             depth += 1
-        elif ch in _CLOSE:
+        elif ch in ")]}":
             depth -= 1
             if depth < 0:
                 raise MalformedInstruction(line, f"unbalanced {ch!r} in operands")
@@ -133,28 +144,17 @@ def _parse_instruction(stmt: str, line: int) -> PtxInstruction:
         s = s[m.end() :].lstrip()
     if not s:
         raise MalformedInstruction(line, "empty opcode")
-
-    parts = s.split(None, 1)
-    opcode_token = parts[0]
-    operand_text = parts[1] if len(parts) > 1 else ""
-
+    opcode_token, *rest = s.split(None, 1)
     pieces = [p for p in opcode_token.split(".") if p]
     if not pieces:
         raise MalformedInstruction(line, "empty opcode")
-    root = pieces[0]
-    tail = pieces[1:]
-    if tail and tail[-1] in TYPE_SUFFIXES:
-        suffix: str | None = tail[-1]
-        modifiers = tuple(tail[:-1])
-    else:
-        suffix = None
-        modifiers = tuple(tail)
-
+    root, *tail = pieces
+    suffix = tail.pop() if tail and tail[-1] in TYPE_SUFFIXES else None
     return PtxInstruction(
         opcode_root=root,
-        modifiers=modifiers,
+        modifiers=tuple(tail),
         type_suffix=suffix,
-        operands=_split_operands(operand_text, line),
+        operands=_split_operands(rest[0] if rest else "", line),
         predicated=guard is not None,
         source_line=line,
         guard=guard,
@@ -162,48 +162,43 @@ def _parse_instruction(stmt: str, line: int) -> PtxInstruction:
 
 
 def parse_ptx(text: str) -> PtxDocument:
-    """Parse PTX source text into a :class:`PtxDocument`.
-
-    Every ``;``-terminated statement whose first token is not a directive,
-    label, or brace becomes a :class:`PtxInstruction`.  The input need not
-    be a complete valid PTX module.
+    """Parse PTX source text, which need not be a complete valid module.
 
     Raises :class:`MalformedInstruction` on an instruction statement with
     an empty opcode or unbalanced brackets; parsing aborts at that point.
     """
-    instructions: list[PtxInstruction] = []
+    # Block comments keep their newlines, so line numbers stay right; trailing
+    # whitespace goes, as the regex would rescan it from every position.
+    text = _COMMENT_RE.sub(lambda m: "\n" * m.group().count("\n") or " ", text).rstrip()
+    roots: list[str] = []
+    statements: list[tuple[str, int]] = []
     kernel_names: list[str] = []
-    skipped = 0
-
-    for lineno, raw_line in enumerate(_strip_comments(text), start=1):
-        rest = raw_line.strip()
-        while rest:
-            if rest[0] in "{}":
-                skipped += 1
-                rest = rest[1:].lstrip()
-                continue
-            if label := _LABEL_RE.match(rest):
-                skipped += 1
-                rest = rest[label.end() :].lstrip()
-                continue
-            if rest[0] == ".":
-                directive, rest = _take_directive(rest)
-                skipped += 1
+    skipped = fragments = 0
+    line, pos = 1, 0
+    for m in _STATEMENT_RE.finditer(text):
+        directive, stmt, root, fragment = m.groups()
+        if stmt is not None:
+            start = m.start("stmt")
+            line += text.count("\n", pos, start)
+            pos = start
+            if root is None:
+                # Not the common shape: decode now, so a malformed one raises.
+                root = _parse_instruction(stmt, line).opcode_root
+            roots.append(root)
+            statements.append((stmt, line))
+        elif fragment is not None:
+            fragments += 1
+        else:
+            skipped += 1
+            if directive is not None:
                 kernel_names.extend(_ENTRY_RE.findall(directive))
-                continue
-            semi = rest.find(";")
-            if semi < 0:
-                # Fragment without a terminator (e.g. the ')' closing a
-                # multi-line parameter list): not an instruction.
-                skipped += 1
-                break
-            instructions.append(_parse_instruction(rest[:semi], lineno))
-            rest = rest[semi + 1 :].lstrip()
 
     return PtxDocument(
-        instructions=tuple(instructions),
+        opcode_roots=tuple(roots),
+        statements=tuple(statements),
         kernel_names=tuple(kernel_names),
         skipped_directive_count=skipped,
+        fragment_count=fragments,
     )
 
 

@@ -218,9 +218,13 @@ def generate(config: SyntheticConfig = SyntheticConfig()) -> SyntheticExperiment
 def ingest_experiment(experiment: SyntheticExperiment) -> list[LabeledSample]:
     """Run every synthetic artifact through the real ingestion path."""
     by_name = {d.name: d for d in experiment.devices}
+    profiles = {}  # each workload's kernel is parsed once, not once per device
     samples = []
     for run in experiment.runs:
-        prof = profile(parse_ptx(run.ptx_text), run.workload_id)
+        key = (run.workload_id, run.ptx_text)
+        if key not in profiles:
+            profiles[key] = profile(parse_ptx(run.ptx_text), run.workload_id)
+        prof = profiles[key]
         trace = parse_power_csv_text(run.power_csv_text)
         record = build_run_record(prof, by_name[run.device_name], trace, run.meta)
         samples.append(make_sample(prof, by_name[run.device_name], record))

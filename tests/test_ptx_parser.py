@@ -1,15 +1,23 @@
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wattrank.instruction_profiler import profile
 from wattrank.ptx_parser import (
+    _STATEMENT_RE,
     TYPE_SUFFIXES,
     MalformedInstruction,
+    _parse_instruction,
     canonical_form,
     parse_ptx,
+    parse_ptx_file,
 )
+
+VPRINTF_KERNEL = Path(__file__).parent / "data" / "vprintf_kernel.ptx"
 
 FULL_MODULE = """\
 //
@@ -93,9 +101,9 @@ def test_full_module_skips_directives_labels_braces():
     doc = parse_ptx(FULL_MODULE)
     assert [i.opcode_root for i in doc.instructions] == ["ld", "setp", "bra", "ret"]
     assert doc.kernel_names == ("copy_5",)
-    # .version/.target/.address_size, 4-line entry header, 2 braces,
-    # 2 .reg lines, 1 label
-    assert doc.skipped_directive_count == 12
+    # .version/.target/.address_size, the entry header, 2 braces,
+    # 2 .reg lines, 1 label: the 4-line .entry header is one statement
+    assert doc.skipped_directive_count == 9
     assert doc.instructions[2].predicated
     assert doc.instructions[2].guard == "@%p1"
 
@@ -222,3 +230,139 @@ def test_count_conservation_and_order(kinds):
     assert n_inst + n_skip + n_blank == len(kinds)
     lines = [i.source_line for i in doc.instructions]
     assert lines == sorted(lines) and len(set(lines)) == len(lines)
+
+
+def test_unterminated_trailing_fragment_is_counted_apart():
+    doc = parse_ptx(".reg .b32 %r<4>;\nmov.u32 %r1, %r2;\nadd.u32 %r3,\n%r1, 1")
+    assert [i.opcode_root for i in doc.instructions] == ["mov"]
+    assert doc.skipped_directive_count == 1
+    assert doc.fragment_count == 1
+
+
+def test_trailing_whitespace_is_scanned_once():
+    start = time.perf_counter()
+    doc = parse_ptx("ret;" + " \n" * 500)
+    assert time.perf_counter() - start < 1.0  # took 2.5 s when rescanned per position
+    assert doc.opcode_roots == ("ret",)
+    assert doc.fragment_count == 0
+
+
+def test_nvcc_vprintf_kernel_golden_counts():
+    doc = parse_ptx_file(VPRINTF_KERNEL)
+    counts = {cls.value: n for cls, n in profile(doc, "print_scaled").counts.items()}
+    assert counts == {
+        "data_movement_and_conversion": 17,
+        "arithmetic_and_floating_point": 6,
+        "logic_and_shift": 0,
+        "comparison_and_selection": 1,
+        "control_flow": 3,  # bra, the multi-line call.uni, ret
+        "atomic_and_sync": 0,
+        "texture_and_surface": 0,
+        "other": 0,
+    }
+    assert doc.kernel_names == ("print_scaled",)
+    assert doc.fragment_count == 0
+    calls = [i for i in doc.instructions if i.opcode_root == "call"]
+    assert len(calls) == 1
+    assert calls[0].modifiers == ("uni",)
+    assert calls[0].operand_count == 3
+    call_lines = [
+        n for n, line in enumerate(VPRINTF_KERNEL.read_text().splitlines(), 1)
+        if "call.uni" in line
+    ]
+    assert [calls[0].source_line] == call_lines
+
+
+# Whitespace that must separate two tokens, and whitespace that may.
+_SEP = st.sampled_from([" ", "\t", "\n", " \n\t", "\n\n  "])
+_GAP = st.one_of(st.just(""), _SEP)
+# Call operands, and a nested operand that only the full decoder handles.
+_MORE_OPERANDS = ["(retval0)", "vprintf", "(param0, param1)", "[tex0, {%f5, %f6}]"]
+
+
+@st.composite
+def _reflowed_statement(draw):
+    """One instruction as ``(one-line text, the same text re-flowed)``."""
+    root, mods, suffix, ops, guard = draw(instruction_strategy)
+    ops = ops + draw(st.lists(st.sampled_from(_MORE_OPERANDS), max_size=2))
+    token = ".".join([root, *mods] + ([suffix] if suffix else []))
+    flat = f"{guard + ' ' if guard else ''}{token}"
+    flowed = f"{guard + draw(_SEP) if guard else ''}{token}"
+    if ops:
+        flat += " " + ", ".join(ops)
+        flowed += draw(_SEP) + ops[0]
+        for op in ops[1:]:
+            flowed += f"{draw(_GAP)},{draw(_GAP)}{op}"
+    return flat + ";", flowed + draw(_GAP) + ";"
+
+
+_OTHER_STATEMENTS = ["{", "}", "$L__BB0_3:", ".reg .b32 %r<4>;", ".param .b64 param0;"]
+
+
+@given(
+    st.lists(
+        st.one_of(
+            _reflowed_statement(),
+            st.sampled_from(_OTHER_STATEMENTS).map(lambda s: (s, s)),
+        ),
+        max_size=12,
+    ),
+    st.lists(_SEP, min_size=12, max_size=12),
+)
+@settings(max_examples=100)
+def test_newline_law(statements, separators):
+    """Newlines are whitespace: re-flowing the whitespace between tokens and
+    operands changes no instruction except its source line."""
+    flat = parse_ptx("\n".join(one_line for one_line, _ in statements))
+    flowed = parse_ptx(
+        "".join(sep + text for (_, text), sep in zip(statements, separators))
+    )
+    assert profile(flowed, "w") == profile(flat, "w")
+    assert flowed.opcode_roots == flat.opcode_roots
+    assert [replace(i, source_line=0) for i in flowed.instructions] == [
+        replace(i, source_line=0) for i in flat.instructions
+    ]
+    assert flowed.skipped_directive_count == flat.skipped_directive_count
+
+
+# Token soup: PTX-like pieces in any order, to reach the statement regex's
+# edges (brackets, guards, stray separators, directives, comments).
+_SOUP = st.lists(
+    st.sampled_from([
+        "ld", "mov.u32", ".global", "call.uni", "@%p1", "@!", "%r1", "$L1:", "x",
+        ".reg .b32 %r<2>", "= {1, 2}", ".version 7.4", ".loc 1 2 3", ".entry k(",
+        ",", ";", "[", "]", "{", "}", "(", ")", "+4", ":", "@",
+        " ", " ", "\t", "\n", "\n", "// c\n", "/* c\n */",
+    ]),
+    max_size=40,
+).map("".join) | st.text(" \t\n\x0b\x1c\xa0;,.@!%$:=[]{}()ab_19", max_size=40)
+
+
+@given(_SOUP)
+@settings(max_examples=300)
+def test_opcode_roots_are_the_decoded_roots(text):
+    try:
+        doc = parse_ptx(text)
+    except MalformedInstruction:
+        return
+    assert doc.opcode_roots == tuple(i.opcode_root for i in doc.instructions)
+    assert [i.source_line for i in doc.instructions] == [
+        line for _, line in doc.statements
+    ]
+
+
+# Operand text built from brackets and separators, after an opcode.
+_OPERAND_SOUP = st.lists(
+    st.sampled_from(["%r1", "x", ",", " ", "\n", "[", "]", "{", "}", "(", ")"]),
+    max_size=12,
+).map(lambda parts: "mov.u32 " + "".join(parts) + ";")
+
+
+@given(_SOUP | _OPERAND_SOUP)
+@settings(max_examples=300)
+def test_strict_statements_decode(text):
+    """Whatever the statement regex's common-shape branch accepts, the full
+    decoder accepts too, with the same opcode root."""
+    for m in _STATEMENT_RE.finditer(text):
+        if m.group("root") is not None:
+            assert _parse_instruction(m.group("stmt"), 1).opcode_root == m.group("root")
