@@ -29,7 +29,7 @@ from .estimator import (
 from .instruction_profiler import (
     InstructionClass,
     InstructionProfile,
-    classify,
+    classify_opcode,
     profile,
     profile_to_features,
 )

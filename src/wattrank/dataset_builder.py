@@ -11,18 +11,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .device_catalog import DEVICE_FEATURE_NAMES, DeviceSpec, device_to_features
 from .errors import WattrankError
-from .instruction_profiler import (
-    InstructionProfile,
-    class_feature_names,
-    profile_to_features,
-)
+from .instruction_profiler import CLASS_ORDER, InstructionProfile, profile_to_features
 from .telemetry_ingest import RunRecord, UnparsableValue
 
 
@@ -36,9 +32,19 @@ class InconsistentFeatureLength(WattrankError):
     pass
 
 
+class CorruptDataset(WattrankError):
+    """A dataset sidecar that does not describe its CSV."""
+
+
 def feature_names() -> list[str]:
     """The 14 canonical feature names, in dataset column order."""
-    return class_feature_names() + DEVICE_FEATURE_NAMES
+    return [cls.value for cls in CLASS_ORDER] + DEVICE_FEATURE_NAMES
+
+
+def feature_vector(profile: InstructionProfile, device: DeviceSpec) -> np.ndarray:
+    """One row's 14 features, in :func:`feature_names` order: the raw class
+    counts, then the device features."""
+    return np.concatenate([profile_to_features(profile), device_to_features(device)])
 
 
 def _column_names(width: int) -> list[str]:
@@ -59,14 +65,11 @@ class LabeledSample:
 def make_sample(
     profile: InstructionProfile, device: DeviceSpec, record: RunRecord
 ) -> LabeledSample:
-    """Build one training row; raw class counts + device features."""
-    features = np.concatenate(
-        [profile_to_features(profile), device_to_features(device)]
-    )
+    """Build one training row from :func:`feature_vector` and measured labels."""
     return LabeledSample(
         workload_id=record.workload_id,
         device_name=record.device_name,
-        features=features,
+        features=feature_vector(profile, device),
         power_w=record.mean_power_w,
         perf_ips=record.perf_ips,
     )
@@ -141,21 +144,11 @@ class NormStats:
         return np.asarray(y, dtype=float) * self.target_stds + self.target_means
 
     def to_dict(self) -> dict:
-        return {
-            "feature_means": self.feature_means.tolist(),
-            "feature_stds": self.feature_stds.tolist(),
-            "target_means": self.target_means.tolist(),
-            "target_stds": self.target_stds.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NormStats":
-        return cls(
-            feature_means=np.asarray(doc["feature_means"], dtype=float),
-            feature_stds=np.asarray(doc["feature_stds"], dtype=float),
-            target_means=np.asarray(doc["target_means"], dtype=float),
-            target_stds=np.asarray(doc["target_stds"], dtype=float),
-        )
+        return cls(**{f.name: np.asarray(doc[f.name], dtype=float) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -318,7 +311,10 @@ def load_dataset(prefix) -> TrainingDataset:
     """Inverse of :func:`save_dataset`; restores stats without recomputing.
 
     A row whose field count differs from the header's, or a non-numeric or
-    non-finite cell, raises :class:`UnparsableValue` naming its CSV row.
+    non-finite cell, raises :class:`UnparsableValue` naming its CSV row.  A
+    sidecar whose indices do not split the rows into two non-empty sides, or
+    whose stats are not finite or not as wide as the CSV, raises
+    :class:`CorruptDataset` naming the sidecar.
     """
     prefix = Path(prefix)
     with open(prefix.with_suffix(".csv"), newline="", encoding="utf-8") as fh:
@@ -345,12 +341,31 @@ def load_dataset(prefix) -> TrainingDataset:
                 raise UnparsableValue(row_number, "non-finite value")
             power_w, perf_ips = values[-2:].tolist()
             samples.append(LabeledSample(row[0], row[1], values[:-2], power_w, perf_ips))
-    with open(prefix.with_suffix(".json"), encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    return TrainingDataset(
-        samples=samples,
-        train_indices=[int(i) for i in sidecar["train_indices"]],
-        val_indices=[int(i) for i in sidecar["val_indices"]],
-        norm=NormStats.from_dict(sidecar["norm_stats"]),
-        seed=int(sidecar["seed"]),
-    )
+    json_path = prefix.with_suffix(".json")
+    try:
+        with open(json_path, encoding="utf-8") as fh:
+            sidecar = json.load(fh)  # JSONDecodeError is a ValueError
+        train_idx, val_idx, seed = (
+            sidecar["train_indices"], sidecar["val_indices"], sidecar["seed"]
+        )
+        indices = [*train_idx, *val_idx]
+        norm = NormStats.from_dict(sidecar["norm_stats"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptDataset(f"{json_path}: not a dataset sidecar: {exc!r}") from exc
+    n, width = len(samples), len(header) - 4
+    if not (train_idx and val_idx and all(type(i) is int for i in indices)
+            and sorted(indices) == list(range(n))):
+        raise CorruptDataset(
+            f"{json_path}: train_indices and val_indices do not split {n} rows"
+        )
+    stats = [getattr(norm, f.name) for f in fields(norm)]  # features, then targets
+    if [a.shape for a in stats] != [(width,), (width,), (2,), (2,)] or not all(
+        np.isfinite(a).all() for a in stats
+    ):
+        raise CorruptDataset(
+            f"{json_path}: norm_stats are not finite stats of {width} features "
+            "and 2 targets"
+        )
+    if type(seed) is not int:
+        raise CorruptDataset(f"{json_path}: seed {seed!r} is not an integer")
+    return TrainingDataset(samples, train_idx, val_idx, norm, seed)

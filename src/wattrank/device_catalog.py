@@ -10,7 +10,7 @@ as an optional sanity bound for measured power, not as a model feature.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -51,15 +51,9 @@ _FLOAT_FIELDS = ("core_clock_mhz", "memory_clock_mhz", "memory_bandwidth_gbps")
 _OPTIONAL_FIELDS = ("tdp_watts", "provenance")
 _ALL_FIELDS = _STR_FIELDS + _INT_FIELDS + _FLOAT_FIELDS + _OPTIONAL_FIELDS
 
-#: Fixed device feature ordering; part of the on-disk dataset contract.
-DEVICE_FEATURE_NAMES = [
-    "sm_count",
-    "fp32_cores",
-    "l2_cache_kib",
-    "core_clock_mhz",
-    "memory_clock_mhz",
-    "memory_bandwidth_gbps",
-]
+#: The required numeric fields, in this order, are the device features; part
+#: of the on-disk dataset contract.
+DEVICE_FEATURE_NAMES = [*_INT_FIELDS, *_FLOAT_FIELDS]
 
 
 def _validate_record(raw: dict, label: str) -> DeviceSpec:
@@ -85,18 +79,11 @@ def _validate_record(raw: dict, label: str) -> DeviceSpec:
     provenance = raw.get("provenance")
     if provenance is not None and not isinstance(provenance, str):
         raise SchemaError("provenance", label)
-    return DeviceSpec(
-        name=raw["name"],
-        architecture=raw["architecture"],
-        sm_count=raw["sm_count"],
-        fp32_cores=raw["fp32_cores"],
-        l2_cache_kib=raw["l2_cache_kib"],
-        core_clock_mhz=float(raw["core_clock_mhz"]),
-        memory_clock_mhz=float(raw["memory_clock_mhz"]),
-        memory_bandwidth_gbps=float(raw["memory_bandwidth_gbps"]),
-        tdp_watts=float(tdp) if tdp is not None else None,
-        provenance=provenance,
-    )
+    values = {field: raw.get(field) for field in _ALL_FIELDS}
+    for field in _FLOAT_FIELDS + ("tdp_watts",):
+        if values[field] is not None:
+            values[field] = float(values[field])
+    return DeviceSpec(**values)
 
 
 def parse_catalog(text: str) -> list[DeviceSpec]:
@@ -127,23 +114,9 @@ def load_catalog(path) -> list[DeviceSpec]:
 
 
 def save_catalog(specs: list[DeviceSpec], path) -> None:
-    records = []
-    for spec in specs:
-        record = {
-            "name": spec.name,
-            "architecture": spec.architecture,
-            "sm_count": spec.sm_count,
-            "fp32_cores": spec.fp32_cores,
-            "l2_cache_kib": spec.l2_cache_kib,
-            "core_clock_mhz": spec.core_clock_mhz,
-            "memory_clock_mhz": spec.memory_clock_mhz,
-            "memory_bandwidth_gbps": spec.memory_bandwidth_gbps,
-        }
-        if spec.tdp_watts is not None:
-            record["tdp_watts"] = spec.tdp_watts
-        if spec.provenance is not None:
-            record["provenance"] = spec.provenance
-        records.append(record)
+    records = [
+        {k: v for k, v in asdict(spec).items() if v is not None} for spec in specs
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=2)
         fh.write("\n")
@@ -164,14 +137,4 @@ def find_device(catalog: list[DeviceSpec], name: str) -> DeviceSpec:
 
 def device_to_features(d: DeviceSpec) -> np.ndarray:
     """Fixed-order numeric feature vector; name/architecture/TDP excluded."""
-    return np.array(
-        [
-            d.sm_count,
-            d.fp32_cores,
-            d.l2_cache_kib,
-            d.core_clock_mhz,
-            d.memory_clock_mhz,
-            d.memory_bandwidth_gbps,
-        ],
-        dtype=float,
-    )
+    return np.array([getattr(d, name) for name in DEVICE_FEATURE_NAMES], dtype=float)

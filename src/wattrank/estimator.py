@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset_builder import NormStats, TrainingDataset
-from .device_catalog import DeviceSpec, device_to_features
+from .dataset_builder import NormStats, TrainingDataset, feature_vector
+from .device_catalog import DeviceSpec
 from .errors import WattrankError
-from .instruction_profiler import InstructionProfile, profile_to_features
+from .instruction_profiler import InstructionProfile
 
 MODEL_FILE_VERSION = 1
 
@@ -334,9 +334,7 @@ def predict(m: MlpModel, profile: InstructionProfile, device: DeviceSpec) -> Pre
     """Standardize, forward, de-standardize; negatives clamp to 0 (flagged)."""
     if m.norm is None:
         raise FeatureContractMismatch("model has no normalization statistics")
-    raw = np.concatenate(
-        [profile_to_features(profile), device_to_features(device)]
-    )
+    raw = feature_vector(profile, device)
     if raw.size != m.norm.feature_means.size:
         raise FeatureContractMismatch(
             f"built {raw.size} features, model statistics cover "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WattrankError
-from .ptx_parser import PtxDocument, PtxInstruction
+from .ptx_parser import PtxDocument
 
 
 class InvalidProfile(WattrankError):
@@ -76,15 +76,6 @@ def classify_opcode(opcode_root: str) -> InstructionClass:
     return _OPCODE_CLASS.get(opcode_root, InstructionClass.OTHER)
 
 
-def classify(inst: PtxInstruction) -> InstructionClass:
-    """Classify one instruction.
-
-    The class is determined by the opcode root alone; modifiers are
-    accepted for future disambiguation but no current root needs them.
-    """
-    return classify_opcode(inst.opcode_root)
-
-
 def profile(doc: PtxDocument, workload_id: str) -> InstructionProfile:
     """Count instructions per class. Classes with zero hits are kept at 0."""
     counts = {cls: 0 for cls in CLASS_ORDER}
@@ -98,10 +89,6 @@ def profile(doc: PtxDocument, workload_id: str) -> InstructionProfile:
 def profile_to_features(p: InstructionProfile) -> np.ndarray:
     """Raw class counts as a float vector in :data:`CLASS_ORDER`."""
     return np.array([p.counts.get(cls, 0) for cls in CLASS_ORDER], dtype=float)
-
-
-def class_feature_names() -> list[str]:
-    return [cls.value for cls in CLASS_ORDER]
 
 
 def profile_to_json(p: InstructionProfile) -> str:
@@ -125,12 +112,16 @@ def profile_from_json(text: str) -> InstructionProfile:
         total = doc["total"]
     except (KeyError, TypeError) as exc:
         raise InvalidProfile(f"missing field: {exc}") from exc
+    if not isinstance(raw_counts, dict):
+        raise InvalidProfile(f"counts must be an object, got {raw_counts!r}")
+    if type(total) is not int:
+        raise InvalidProfile(f"total must be an integer, got {total!r}")
     by_value = {cls.value: cls for cls in InstructionClass}
     counts = {cls: 0 for cls in CLASS_ORDER}
     for key, value in raw_counts.items():
         if key not in by_value:
             raise InvalidProfile(f"unknown instruction class {key!r}")
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise InvalidProfile(f"bad count for {key!r}: {value!r}")
         counts[by_value[key]] = value
     if sum(counts.values()) != total:

@@ -57,7 +57,7 @@ _ATOM = r"(?:[^\s,;()\[\]{}]+|\[[^;()\[\]{}]*\]|\{[^;()\[\]{}]*\}|\([^;()\[\]{}]
 _STATEMENT_RE = re.compile(
     rf"""\s*(?:
         [{{}}]
-      | [A-Za-z_$%][A-Za-z0-9_$]*:
+      | [A-Za-z_$%][A-Za-z0-9_$]*\s*:
       | \.(?:version|target|address_size|file|loc)\b[^;\n]*;?
       | (?P<directive>\.[^;{{}}=]*(?:=[^;]*)?);?
       | (?P<stmt>
@@ -80,9 +80,12 @@ class PtxInstruction:
     modifiers: tuple[str, ...]
     type_suffix: str | None
     operands: tuple[str, ...]
-    predicated: bool
     source_line: int
     guard: str | None = None
+
+    @property
+    def predicated(self) -> bool:
+        return self.guard is not None
 
     @property
     def operand_count(self) -> int:
@@ -107,7 +110,12 @@ class PtxDocument:
 
 
 def _split_operands(text: str, line: int) -> tuple[str, ...]:
-    """Split operand text on top-level commas, respecting (), [] and {}."""
+    """Split operand text on top-level commas, respecting (), [] and {}.
+
+    A line break between two tokens of one top-level operand means a missing
+    ``;`` (``mov.u32 %r1, %r2⏎add.u32 ...``), so it raises; one next to a
+    comma or inside brackets is whitespace.
+    """
     operands: list[str] = []
     depth = 0
     current: list[str] = []
@@ -130,7 +138,21 @@ def _split_operands(text: str, line: int) -> tuple[str, ...]:
         return ()
     if any(not op for op in operands):
         raise MalformedInstruction(line, "empty operand")
+    if "\n" in text and any(map(_breaks_at_top_level, operands)):
+        raise MalformedInstruction(line, "line break inside an operand (missing ';'?)")
     return tuple(operands)
+
+
+def _breaks_at_top_level(operand: str) -> bool:
+    depth = 0
+    for ch in operand:
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif ch == "\n" and depth == 0:
+            return True
+    return False
 
 
 def _parse_instruction(stmt: str, line: int) -> PtxInstruction:
@@ -155,7 +177,6 @@ def _parse_instruction(stmt: str, line: int) -> PtxInstruction:
         modifiers=tuple(tail),
         type_suffix=suffix,
         operands=_split_operands(rest[0] if rest else "", line),
-        predicated=guard is not None,
         source_line=line,
         guard=guard,
     )
@@ -219,6 +240,6 @@ def canonical_form(
         (inst.opcode_root, *inst.modifiers)
         + ((inst.type_suffix,) if inst.type_suffix else ())
     )
-    head = f"{inst.guard or '@%p'} " if inst.predicated else ""
+    head = f"{inst.guard} " if inst.predicated else ""
     body = ", ".join(ops)
     return f"{head}{token} {body};" if body else f"{head}{token};"

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_builder import LabeledSample, feature_names, make_sample
-from .device_catalog import DeviceSpec, default_catalog, device_to_features
-from .instruction_profiler import CLASS_ORDER, InstructionClass, profile, profile_to_features
+from .dataset_builder import LabeledSample, feature_names, feature_vector, make_sample
+from .device_catalog import DeviceSpec, default_catalog
+from .instruction_profiler import CLASS_ORDER, InstructionClass, profile
 from .ptx_parser import parse_ptx
 from .telemetry_ingest import RunMeta, build_run_record, parse_power_csv_text
 
@@ -100,9 +100,6 @@ class SyntheticExperiment:
     devices: list[DeviceSpec]
     config: SyntheticConfig
 
-    def workload_ptx(self) -> dict[str, str]:
-        return {run.workload_id: run.ptx_text for run in self.runs}
-
 
 def make_workload_ptx(counts: dict[InstructionClass, int], name: str, rng) -> str:
     """PTX module text whose instruction profile equals ``counts`` exactly."""
@@ -168,11 +165,7 @@ def generate(config: SyntheticConfig = SyntheticConfig()) -> SyntheticExperiment
     for name, ptx_text, _counts in workloads:
         prof = profile(parse_ptx(ptx_text), name)
         for device in devices:
-            feature_rows.append(
-                np.concatenate(
-                    [profile_to_features(prof), device_to_features(device)]
-                )
-            )
+            feature_rows.append(feature_vector(prof, device))
             pairs.append((name, ptx_text, prof, device))
     features = np.stack(feature_rows)
 

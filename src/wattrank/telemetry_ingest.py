@@ -174,26 +174,30 @@ def mean_power(trace: PowerTrace) -> float:
 
 
 def load_run_meta(path) -> RunMeta:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)  # JSONDecodeError is a ValueError
         meta = RunMeta(
             workload_id=str(doc["workload_id"]),
             device_name=str(doc["device_name"]),
             wall_clock_s=float(doc["wall_clock_s"]),
-            repetitions=int(doc.get("repetitions", 1)),
+            repetitions=doc.get("repetitions", 1),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise UnparsableValue(0, f"bad run metadata: {exc}") from exc
+        raise UnparsableValue(0, f"bad run metadata {path}: {exc}") from exc
     _check_meta(meta)
     return meta
 
 
 def _check_meta(meta: RunMeta) -> None:
+    if not math.isfinite(meta.wall_clock_s):
+        raise UnparsableValue(0, f"wall_clock_s must be finite, got {meta.wall_clock_s}")
     if meta.wall_clock_s <= 0:
         raise NonPositiveDuration(f"wall_clock_s = {meta.wall_clock_s}")
-    if meta.repetitions < 1:
-        raise UnparsableValue(0, f"repetitions must be >= 1, got {meta.repetitions}")
+    if type(meta.repetitions) is not int or meta.repetitions < 1:
+        raise UnparsableValue(
+            0, f"repetitions must be an integer >= 1, got {meta.repetitions!r}"
+        )
 
 
 def build_run_record(

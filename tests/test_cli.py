@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import wattrank
 from wattrank import synthetic
 from wattrank.cli import main
+from wattrank.dataset_builder import CorruptDataset, load_dataset
 from wattrank.instruction_profiler import profile_from_json
 from wattrank.ranking import CSV_HEADER
 
@@ -158,6 +160,71 @@ def test_train_on_dataset_with_bad_cell_exits_one(workflow, tmp_path, capsys):
     assert main(["train", "--dataset", str(prefix), "--epochs", "5",
                  "--out", str(tmp_path / "m.json")]) == 1
     assert "row 4" in capsys.readouterr().err
+
+
+def _edit_json(change):
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "which,corrupt",
+    [
+        ("meta", lambda text: text[:-3]),
+        ("meta", _edit_json(lambda d: d.update(wall_clock_s=float("nan")))),
+        ("meta", _edit_json(lambda d: d.update(wall_clock_s=float("inf")))),
+        ("meta", _edit_json(lambda d: d.update(repetitions=2.5))),
+        ("meta", _edit_json(lambda d: d.update(repetitions=True))),
+        ("profile", _edit_json(lambda d: d.update(counts=list(d["counts"].values())))),
+        ("profile", _edit_json(lambda d: d.update(
+            counts={**dict.fromkeys(d["counts"], 0), "other": True}, total=1))),
+    ],
+    ids=["meta-malformed", "meta-nan-wall-clock", "meta-infinite-wall-clock",
+         "meta-fractional-repetitions", "meta-bool-repetitions",
+         "profile-counts-list", "profile-bool-count"],
+)
+def test_ingest_of_bad_meta_or_profile_exits_one(workflow, tmp_path, capsys, which, corrupt):
+    files = {"meta": workflow / "run0.meta.json",
+             "profile": next(workflow.glob("*.profile.json"))}
+    bad = tmp_path / f"bad.{which}.json"
+    bad.write_text(corrupt(files[which].read_text()))
+    files[which] = bad
+    assert main(["ingest", "--power", str(workflow / "run0.csv"),
+                 "--meta", str(files["meta"]), "--profile", str(files["profile"]),
+                 "--out", str(tmp_path / "sample.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "sample.json").exists()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: f"[{text}]",
+        _edit_json(lambda d: d.pop("norm_stats")),
+        _edit_json(lambda d: d.update(train_indices=[999, *d["train_indices"][1:]])),
+        _edit_json(lambda d: d["train_indices"].append(d["val_indices"][0])),
+        _edit_json(lambda d: d.update(train_indices=[float(i) for i in d["train_indices"]])),
+        _edit_json(lambda d: d["norm_stats"].update(feature_means=[0.0, 0.0, 0.0])),
+        _edit_json(lambda d: d["norm_stats"].update(target_stds=[float("nan"), 1.0])),
+    ],
+    ids=["malformed", "list", "no-norm-stats", "index-999", "index-twice",
+         "float-indices", "narrow-stats", "nan-stat"],
+)
+def test_train_on_corrupt_sidecar_exits_one(workflow, tmp_path, capsys, corrupt):
+    prefix = tmp_path / "ds"
+    assert main(["dataset", "build", "--samples", str(workflow / "samples"),
+                 "--out", str(prefix)]) == 0
+    sidecar = prefix.with_suffix(".json")
+    sidecar.write_text(corrupt(sidecar.read_text()))
+    with pytest.raises(CorruptDataset, match=re.escape(str(sidecar))):
+        load_dataset(prefix)
+    assert main(["train", "--dataset", str(prefix), "--epochs", "5",
+                 "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {sidecar}")
 
 
 def test_dataset_build_empty_dir_exits_one(tmp_path):

@@ -12,6 +12,7 @@ from wattrank.dataset_builder import (
     assemble,
     feature_importance,
     feature_names,
+    feature_vector,
     load_dataset,
     make_sample,
     sample_from_json,
@@ -21,7 +22,7 @@ from wattrank.dataset_builder import (
 )
 from wattrank.device_catalog import DeviceSpec
 from wattrank.errors import WattrankError
-from wattrank.instruction_profiler import profile
+from wattrank.instruction_profiler import InstructionClass, profile
 from wattrank.telemetry_ingest import (
     PowerTrace,
     RunMeta,
@@ -59,6 +60,16 @@ def test_make_sample_concatenation_order(corpus_doc):
     assert len(sample.features) == len(feature_names()) == 14
     assert sample.power_w == 100.0
     assert sample.perf_ips == 10.0
+
+
+def test_feature_vector_follows_feature_names(corpus_doc):
+    prof = profile(corpus_doc, "copy_kernel")
+    row = feature_vector(prof, DEVICE)
+    for index, name in enumerate(feature_names()):
+        if name in {cls.value for cls in InstructionClass}:
+            assert row[index] == prof.counts[InstructionClass(name)], name
+        else:
+            assert row[index] == getattr(DEVICE, name), name
 
 
 def test_sample_json_round_trip(corpus_doc):

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -55,6 +56,12 @@ def test_load_save_identity(tmp_path):
     # a second bounce is also the identity
     save_catalog(load_catalog(path), path)
     assert load_catalog(path) == original
+
+
+def test_saving_the_default_catalog_writes_the_shipped_file(tmp_path):
+    save_catalog(default_catalog(), tmp_path / "c.json")
+    shipped = resources.files("wattrank").joinpath("data/default_catalog.json")
+    assert (tmp_path / "c.json").read_bytes() == shipped.read_bytes()
 
 
 def test_empty_catalog():

@@ -6,7 +6,6 @@ from wattrank.instruction_profiler import (
     CLASS_ORDER,
     InstructionClass,
     InvalidProfile,
-    classify,
     classify_opcode,
     profile,
     profile_from_json,
@@ -52,7 +51,7 @@ def test_classify_table(root, expected):
 
 def test_classify_uses_opcode_root_only():
     inst = parse_ptx("cvta.to.global.u64 %rd3, %rd2;").instructions[0]
-    assert classify(inst) is _C.DATA_MOVEMENT_AND_CONVERSION
+    assert classify_opcode(inst.opcode_root) is _C.DATA_MOVEMENT_AND_CONVERSION
 
 
 def test_corpus_profile_counts(corpus_doc):

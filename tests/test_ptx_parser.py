@@ -121,6 +121,25 @@ def test_vector_and_call_operands_split_at_top_level_only():
     assert inst.operand_count == 3
 
 
+def test_line_breaks_next_to_commas_are_whitespace():
+    inst = parse_ptx("add.f32 %f3\n, %f1,\n %f2;").instructions[0]
+    assert inst.operands == ("%f3", "%f1", "%f2")
+
+
+def test_indirect_call_prototype_is_not_an_instruction():
+    doc = parse_ptx(
+        "{ // callseq 1, 0\n"
+        "\t.param .b64 param0;\n"
+        "\t.param .b32 retval0;\n"
+        "\tprototype_0 : .callprototype (.param .b32 _) _ (.param .b64 _);\n"
+        "\tcall \n\t(retval0), \n\t%rd1, \n\t(\n\tparam0\n\t)\n\t, prototype_0;\n"
+        "\t} // callseq 1\n"
+    )
+    counts = {cls.value: n for cls, n in profile(doc, "w").counts.items() if n}
+    assert counts == {"control_flow": 1}
+    assert doc.instructions[0].operand_count == 4
+
+
 def test_canonical_form_examples():
     inst = parse_ptx("mov.u32 %r1, %ctaid.x;").instructions[0]
     assert canonical_form(inst) == "mov.u32 %r1, %ctaid.x;"
@@ -153,6 +172,8 @@ def test_corpus_round_trip(corpus_doc, corpus_path):
         "ld.u32 %r1, %rd1];",
         "add.u32 %r1,, %r2;",
         "add.u32 %r1, %r2,;",
+        "mov.u32 %r1, %r2\nadd.u32 %r3, %r1, 1;",  # missing ';' swallows the add
+        "st.u32 [%rd1], %r1\n@%p1 bra $L__BB0_1;",
     ],
 )
 def test_malformed_statements_abort_with_line(bad):
