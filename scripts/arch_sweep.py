@@ -15,11 +15,9 @@ from wattrank import synthetic
 from wattrank.dataset_builder import assemble
 from wattrank.estimator import (
     TrainConfig,
-    design_matrices,
     evaluate,
     fit_linear_baseline,
     init_model,
-    r2_score,
     train,
 )
 
@@ -55,10 +53,9 @@ def main() -> int:
     print(f"{'architecture':<22} {'epochs':>6} {'val power R2':>13} "
           f"{'val perf R2':>12} {'seconds':>8}")
 
-    baseline = fit_linear_baseline(ds)
-    Xv, Yv = design_matrices(ds, ds.val_indices, None)
-    r2 = r2_score(Yv, baseline.predict_standardized(Xv))
-    print(f"{'ridge baseline':<22} {'-':>6} {r2[0]:>13.4f} {r2[1]:>12.4f} {'-':>8}")
+    val = evaluate(fit_linear_baseline(ds), ds)["val"]
+    print(f"{'ridge baseline':<22} {'-':>6} {val['power']['r2']:>13.4f} "
+          f"{val['perf']['r2']:>12.4f} {'-':>8}")
 
     for hidden in config.hidden_specs:
         start = time.monotonic()

@@ -1,19 +1,21 @@
-"""Predictive models: a small feedforward network and a ridge baseline.
+"""Predictive model: a small feedforward network.
 
 The network maps the standardized 14-feature vector (instruction-class
 counts + device features) to standardized (power, performance).  Hidden
 layers use ReLU, the output layer is linear, and the default shape is
 [d, 2d, d, 2].  Training is deterministic full-batch gradient descent on
 the mean-squared error over both outputs, with early stopping on the
-validation loss.  Everything is plain numpy in double precision so that
-backpropagation can be verified against central finite differences.
+validation loss.  The ridge baseline is the same model with no hidden
+layer, solved in closed form.  Everything is plain numpy in double
+precision so that backpropagation can be verified against central finite
+differences.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .errors import WattrankError
 from .instruction_profiler import InstructionProfile
 
 MODEL_FILE_VERSION = 1
+RIDGE_PENALTY = 1e-6  # keeps the ridge normal equations solvable
 
 
 class DimensionMismatch(WattrankError):
@@ -124,13 +127,15 @@ def init_model(
     )
 
 
-def _forward_arrays(
+def _layers(
     weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray
-) -> np.ndarray:
-    a = X
+) -> list[np.ndarray]:
+    """The input, every hidden (ReLU) activation, then the affine output."""
+    acts = [X]
     for W, b in zip(weights[:-1], biases[:-1]):
-        a = np.maximum(a @ W.T + b, 0.0)
-    return a @ weights[-1].T + biases[-1]
+        acts.append(np.maximum(acts[-1] @ W.T + b, 0.0))
+    acts.append(acts[-1] @ weights[-1].T + biases[-1])
+    return acts
 
 
 def forward(m: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -142,28 +147,20 @@ def forward(m: MlpModel, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"input has {X.shape[1]} features, model expects {m.layer_dims[0]}"
         )
-    out = _forward_arrays(m.weights, m.biases, X)
+    out = _layers(m.weights, m.biases, X)[-1]
     return out[0] if single else out
 
 
 def _loss(
     weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray, Y: np.ndarray
 ) -> float:
-    return float(np.mean((_forward_arrays(weights, biases, X) - Y) ** 2))
+    return float(np.mean((_layers(weights, biases, X)[-1] - Y) ** 2))
 
 
 def _loss_and_grads(weights, biases, X, Y):
     """MSE over all outputs plus its gradient w.r.t. every weight and bias."""
-    acts = [X]
-    zs = []
-    a = X
-    for W, b in zip(weights[:-1], biases[:-1]):
-        z = a @ W.T + b
-        zs.append(z)
-        a = np.maximum(z, 0.0)
-        acts.append(a)
-    out = a @ weights[-1].T + biases[-1]
-    resid = out - Y
+    acts = _layers(weights, biases, X)
+    resid = acts[-1] - Y
     loss = float(np.mean(resid**2))
 
     delta = 2.0 * resid / resid.size
@@ -173,7 +170,7 @@ def _loss_and_grads(weights, biases, X, Y):
         grad_w[k] = delta.T @ acts[k]
         grad_b[k] = delta.sum(axis=0)
         if k > 0:
-            delta = (delta @ weights[k]) * (zs[k - 1] > 0)
+            delta = (delta @ weights[k]) * (acts[k] > 0)  # ReLU': a > 0 iff z > 0
     return loss, grad_w, grad_b
 
 
@@ -256,13 +253,19 @@ def gradient_check(m: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
 
     Perturbs every weight and bias by +-1e-6 and compares against the
     backpropagated gradient of the MSE; the relative error uses
-    |g_bp - g_fd| / max(|g_bp| + |g_fd|, 1e-8).
+    |g_bp - g_fd| / max(|g_bp| + |g_fd|, 1e-8).  The perturbed losses and
+    their difference are computed in ``np.longdouble``, so the rounding of
+    the loss does not swamp a gradient near 1e-6.
     """
     X = np.atleast_2d(np.asarray(x, dtype=float))
     Y = np.atleast_2d(np.asarray(y, dtype=float))
-    weights = [w.copy() for w in m.weights]
-    biases = [b.copy() for b in m.biases]
-    _, grad_w, grad_b = _loss_and_grads(weights, biases, X, Y)
+    _, grad_w, grad_b = _loss_and_grads(m.weights, m.biases, X, Y)
+    X, Y = X.astype(np.longdouble), Y.astype(np.longdouble)
+    weights = [w.astype(np.longdouble) for w in m.weights]
+    biases = [b.astype(np.longdouble) for b in m.biases]
+
+    def loss():
+        return np.mean((_layers(weights, biases, X)[-1] - Y) ** 2)
 
     h = 1e-6
     worst = 0.0
@@ -273,61 +276,26 @@ def gradient_check(m: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
             for i in range(flat.size):
                 original = flat[i]
                 flat[i] = original + h
-                plus = _loss(weights, biases, X, Y)
+                plus = loss()
                 flat[i] = original - h
-                minus = _loss(weights, biases, X, Y)
+                minus = loss()
                 flat[i] = original
-                fd = (plus - minus) / (2.0 * h)
+                fd = float(plus - minus) / (2.0 * h)
                 bp = grad_flat[i]
                 rel = abs(bp - fd) / max(abs(bp) + abs(fd), 1e-8)
                 worst = max(worst, rel)
     return worst
 
 
-@dataclass(frozen=True)
-class LinearModel:
-    """Ridge least-squares baseline in standardized space."""
-
-    weights: np.ndarray  # (2, d)
-    bias: np.ndarray  # (2,)
-    norm: NormStats
-    feature_mask: tuple[bool, ...] | None = None
-
-    def predict_standardized(self, X: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(X) @ self.weights.T + self.bias
-
-    def raw_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """De-standardized (W, b) mapping raw features to raw targets."""
-        f_std = self.norm.feature_stds
-        if self.feature_mask is not None:
-            keep = np.asarray(self.feature_mask, dtype=bool)
-            f_mean = self.norm.feature_means[keep]
-            f_std = f_std[keep]
-        else:
-            f_mean = self.norm.feature_means
-        inv = 1.0 / np.where(f_std > 0, f_std, np.inf)  # constant columns -> 0
-        W_raw = self.norm.target_stds[:, None] * self.weights * inv[None, :]
-        b_raw = self.norm.target_means + self.norm.target_stds * (
-            self.bias - (self.weights * (f_mean * inv)[None, :]).sum(axis=1)
-        )
-        return W_raw, b_raw
-
-
-def fit_linear_baseline(
-    ds: TrainingDataset,
-    feature_mask: tuple[bool, ...] | None = None,
-    ridge: float = 1e-6,
-) -> LinearModel:
-    """Closed-form ridge regression on the standardized train split."""
-    X, Y = design_matrices(ds, ds.train_indices, feature_mask)
+def fit_linear_baseline(ds: TrainingDataset) -> MlpModel:
+    """Closed-form ridge regression on the standardized train split, as a
+    network with no hidden layer."""
+    X, Y = design_matrices(ds, ds.train_indices)
     n, d = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])
-    A = Xa.T @ Xa + ridge * np.eye(d + 1)
+    A = Xa.T @ Xa + RIDGE_PENALTY * np.eye(d + 1)
     coef = np.linalg.solve(A, Xa.T @ Y)  # (d+1, 2)
-    return LinearModel(
-        weights=coef[:-1].T, bias=coef[-1], norm=ds.norm,
-        feature_mask=feature_mask,
-    )
+    return MlpModel((d, 2), [coef[:-1].T], [coef[-1]], ds.norm, seed=0)
 
 
 def predict(m: MlpModel, profile: InstructionProfile, device: DeviceSpec) -> Prediction:
@@ -343,10 +311,6 @@ def predict(m: MlpModel, profile: InstructionProfile, device: DeviceSpec) -> Pre
     x = m.norm.standardize_features(raw)
     if m.feature_mask is not None:
         x = x[np.asarray(m.feature_mask, dtype=bool)]
-    if x.size != m.layer_dims[0]:
-        raise FeatureContractMismatch(
-            f"{x.size} features after masking, model expects {m.layer_dims[0]}"
-        )
     out = m.norm.destandardize_targets(forward(m, x))
     clamped = bool((out < 0).any())
     out = np.maximum(out, 0.0)
@@ -406,6 +370,12 @@ def save_model(m: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a :func:`save_model` file.
+
+    Raises :class:`CorruptFile` naming ``path`` unless the layers chain from
+    the (masked) feature statistics to 2 outputs, the mask is ``null`` or
+    one JSON boolean per feature, and every weight, bias and stat is finite.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -423,20 +393,31 @@ def load_model(path) -> MlpModel:
         biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
         norm = NormStats.from_dict(doc["norm_stats"])
         mask = doc.get("feature_mask")
-        model = MlpModel(
-            layer_dims=dims,
-            weights=weights,
-            biases=biases,
-            norm=norm,
-            seed=int(doc["seed"]),
-            epochs_trained=int(doc.get("epochs_trained", 0)),
-            feature_mask=tuple(bool(b) for b in mask) if mask is not None else None,
-        )
+        seed = int(doc["seed"])
+        epochs_trained = int(doc.get("epochs_trained", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
+    stats = [getattr(norm, f.name) for f in fields(norm)]  # features, then targets
+    n = stats[0].size
+    if [a.shape for a in stats] != [(n,), (n,), (2,), (2,)]:
+        raise CorruptFile(f"{path}: norm_stats are not stats of {n} features and 2 targets")
+    if mask is not None and not (
+        isinstance(mask, list) and len(mask) == n and all(type(k) is bool for k in mask)
+    ):
+        raise CorruptFile(f"{path}: feature_mask is not null or {n} booleans")
+    width = n if mask is None else sum(mask)
+    if len(dims) < 2 or dims[0] != width or dims[-1] != 2:
+        raise CorruptFile(
+            f"{path}: layer_dims {list(dims)} do not map {width} features to 2 outputs"
+        )
     expected = list(zip(dims[1:], dims[:-1]))
     if [w.shape for w in weights] != expected or [
         b.shape for b in biases
     ] != [(d,) for d in dims[1:]]:
         raise CorruptFile(f"{path}: weight shapes do not chain with layer_dims")
-    return model
+    if not all(np.isfinite(a).all() for a in (*weights, *biases, *stats)):
+        raise CorruptFile(f"{path}: non-finite weight, bias or stat")
+    return MlpModel(
+        layer_dims=dims, weights=weights, biases=biases, norm=norm, seed=seed,
+        epochs_trained=epochs_trained, feature_mask=None if mask is None else tuple(mask),
+    )

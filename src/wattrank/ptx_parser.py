@@ -41,6 +41,9 @@ class MalformedInstruction(WattrankError):
 TYPE_SUFFIXES = frozenset(
     f"{kind}{width}" for kind in "usb" for width in (8, 16, 32, 64)
 ) | {"f16", "f32", "f64", "pred"}
+# Opcodes that take no operands; one with an operand has lost its ``;``
+# (``ret⏎exit;``).
+OPERANDLESS_ROOTS = frozenset({"ret", "exit", "trap", "brkpt"})
 
 _GUARD_RE = re.compile(r"@\s*!?\s*%?[A-Za-z_$][A-Za-z0-9_$]*")
 _ENTRY_RE = re.compile(r"\.entry\s+([A-Za-z_$%][A-Za-z0-9_$]*)")
@@ -51,7 +54,8 @@ _ATOM = r"(?:[^\s,;()\[\]{}]+|\[[^;()\[\]{}]*\]|\{[^;()\[\]{}]*\}|\([^;()\[\]{}]
 # One statement per match, after optional whitespace.  Groups: ``stmt`` is an
 # instruction's text before its ``;`` and ``root`` its opcode root when the
 # statement has the common shape (guard, ``root.mods``, comma-separated
-# atoms), which _parse_instruction is certain to accept; ``directive`` is a
+# atoms), which _parse_instruction is certain to accept unless the root is
+# in OPERANDLESS_ROOTS and has operands; ``directive`` is a
 # directive that may name an ``.entry``; ``fragment`` is trailing text with
 # no ``;``.  Braces, labels and line-terminated directives match no group.
 _STATEMENT_RE = re.compile(
@@ -172,11 +176,14 @@ def _parse_instruction(stmt: str, line: int) -> PtxInstruction:
         raise MalformedInstruction(line, "empty opcode")
     root, *tail = pieces
     suffix = tail.pop() if tail and tail[-1] in TYPE_SUFFIXES else None
+    operands = _split_operands(rest[0] if rest else "", line)
+    if operands and root in OPERANDLESS_ROOTS:
+        raise MalformedInstruction(line, f"{root!r} takes no operands (missing ';'?)")
     return PtxInstruction(
         opcode_root=root,
         modifiers=tuple(tail),
         type_suffix=suffix,
-        operands=_split_operands(rest[0] if rest else "", line),
+        operands=operands,
         source_line=line,
         guard=guard,
     )
@@ -186,7 +193,8 @@ def parse_ptx(text: str) -> PtxDocument:
     """Parse PTX source text, which need not be a complete valid module.
 
     Raises :class:`MalformedInstruction` on an instruction statement with
-    an empty opcode or unbalanced brackets; parsing aborts at that point.
+    an empty opcode, unbalanced brackets or operands on an opcode of
+    :data:`OPERANDLESS_ROOTS`; parsing aborts at that point.
     """
     # Block comments keep their newlines, so line numbers stay right; trailing
     # whitespace goes, as the regex would rescan it from every position.
@@ -202,8 +210,9 @@ def parse_ptx(text: str) -> PtxDocument:
             start = m.start("stmt")
             line += text.count("\n", pos, start)
             pos = start
-            if root is None:
-                # Not the common shape: decode now, so a malformed one raises.
+            if root is None or root in OPERANDLESS_ROOTS:
+                # Not the common shape, or no operands allowed: decode now, so
+                # a malformed one raises.
                 root = _parse_instruction(stmt, line).opcode_root
             roots.append(root)
             statements.append((stmt, line))

@@ -174,16 +174,25 @@ def mean_power(trace: PowerTrace) -> float:
 
 
 def load_run_meta(path) -> RunMeta:
+    """Read run metadata JSON: ``workload_id`` and ``device_name`` must be
+    strings, ``wall_clock_s`` a number (not a boolean)."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)  # JSONDecodeError is a ValueError
+        workload_id, device_name, wall_clock_s = (
+            doc[key] for key in ("workload_id", "device_name", "wall_clock_s")
+        )
+        if type(workload_id) is not str or type(device_name) is not str:
+            raise TypeError("workload_id and device_name must be strings")
+        if type(wall_clock_s) not in (int, float):
+            raise TypeError(f"wall_clock_s must be a number, got {wall_clock_s!r}")
         meta = RunMeta(
-            workload_id=str(doc["workload_id"]),
-            device_name=str(doc["device_name"]),
-            wall_clock_s=float(doc["wall_clock_s"]),
+            workload_id=workload_id,
+            device_name=device_name,
+            wall_clock_s=float(wall_clock_s),
             repetitions=doc.get("repetitions", 1),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UnparsableValue(0, f"bad run metadata {path}: {exc}") from exc
     _check_meta(meta)
     return meta

@@ -140,7 +140,7 @@ def test_criterion_5_linear_oracle_equivalence():
     r2 = r2_score(Yv, pred)
     assert min(r2) >= 0.999
     baseline = fit_linear_baseline(ds)
-    gap = np.abs(pred - baseline.predict_standardized(Xv)).max()
+    gap = np.abs(pred - forward(baseline, Xv)).max()
     assert gap <= 1e-3
     elapsed = time.monotonic() - start
     assert elapsed < 60.0

@@ -178,12 +178,15 @@ def _edit_json(change):
         ("meta", _edit_json(lambda d: d.update(wall_clock_s=float("inf")))),
         ("meta", _edit_json(lambda d: d.update(repetitions=2.5))),
         ("meta", _edit_json(lambda d: d.update(repetitions=True))),
+        ("meta", _edit_json(lambda d: d.update(workload_id=5))),
+        ("meta", _edit_json(lambda d: d.update(wall_clock_s="1.5"))),
         ("profile", _edit_json(lambda d: d.update(counts=list(d["counts"].values())))),
         ("profile", _edit_json(lambda d: d.update(
             counts={**dict.fromkeys(d["counts"], 0), "other": True}, total=1))),
     ],
     ids=["meta-malformed", "meta-nan-wall-clock", "meta-infinite-wall-clock",
          "meta-fractional-repetitions", "meta-bool-repetitions",
+         "meta-numeric-workload-id", "meta-string-wall-clock",
          "profile-counts-list", "profile-bool-count"],
 )
 def test_ingest_of_bad_meta_or_profile_exits_one(workflow, tmp_path, capsys, which, corrupt):
@@ -225,6 +228,31 @@ def test_train_on_corrupt_sidecar_exits_one(workflow, tmp_path, capsys, corrupt)
     assert main(["train", "--dataset", str(prefix), "--epochs", "5",
                  "--out", str(tmp_path / "m.json")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {sidecar}")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _edit_json(lambda d: d["weights"][0][0].__setitem__(0, float("nan"))),
+        _edit_json(lambda d: d.update(feature_mask="yes")),
+        _edit_json(lambda d: d.update(feature_mask=[True] * 13)),
+    ],
+    ids=["nan-weight", "mask-string", "mask-13-long"],
+)
+def test_rank_with_corrupt_model_exits_one(workflow, tmp_path, capsys, corrupt):
+    prefix = tmp_path / "ds"
+    model = tmp_path / "model.json"
+    assert main(["dataset", "build", "--samples", str(workflow / "samples"),
+                 "--out", str(prefix)]) == 0
+    assert main(["train", "--dataset", str(prefix), "--hidden", "none", "--epochs", "5",
+                 "--out", str(model)]) == 0
+    model.write_text(corrupt(model.read_text()))
+    capsys.readouterr()
+    assert main(["rank", "--ptx", str(next(workflow.glob("cnn_*.ptx"))),
+                 "--model", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {model}")
+    assert captured.out == ""
 
 
 def test_dataset_build_empty_dir_exits_one(tmp_path):

@@ -1,12 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wattrank.dataset_builder import LabeledSample, assemble
-from wattrank.device_catalog import DeviceSpec
+from wattrank.device_catalog import DeviceSpec, default_catalog
 from wattrank.estimator import (
     CorruptFile,
     DimensionMismatch,
@@ -30,6 +31,7 @@ from wattrank.estimator import (
 )
 from wattrank.instruction_profiler import profile
 from wattrank.ptx_parser import parse_ptx
+from wattrank.ranking import rank_devices
 
 
 def _samples(X, Y):
@@ -159,6 +161,7 @@ def test_linear_backprop_matches_analytic_formula():
     st.integers(min_value=0, max_value=10_000),
 )
 @settings(max_examples=12, deadline=None)
+@example(6, [5, 6], 0)  # true gradient -1.5e-6: float64 loss rounding swamped it
 def test_gradient_check_random_architectures(input_dim, hidden, seed):
     from conftest import preactivation_margin
     from hypothesis import assume
@@ -221,7 +224,7 @@ def test_zero_hidden_training_matches_ridge_baseline():
                        TrainConfig(lr=0.05, epochs=4000, patience=4000))
     baseline = fit_linear_baseline(ds)
     Xv, Yv = design_matrices(ds, ds.val_indices, None)
-    gap = np.abs(forward(trained, Xv) - baseline.predict_standardized(Xv)).max()
+    gap = np.abs(forward(trained, Xv) - forward(baseline, Xv)).max()
     assert gap <= 1e-3
     assert min(r2_score(Yv, forward(trained, Xv))) >= 0.999
 
@@ -232,9 +235,11 @@ def test_linear_baseline_recovers_slope_two():
     X = x[:, None]
     y = 2.0 * x
     ds = assemble(_samples(X, np.column_stack([y, y])), seed=1)
-    W, b = fit_linear_baseline(ds).raw_coefficients()
-    assert W[0, 0] == pytest.approx(2.0, abs=1e-6)
-    assert b[0] == pytest.approx(0.0, abs=1e-6)
+    model = fit_linear_baseline(ds)
+    at_0_and_1 = model.norm.standardize_features(np.array([[0.0], [1.0]]))
+    raw = model.norm.destandardize_targets(forward(model, at_0_and_1))
+    assert raw[1, 0] - raw[0, 0] == pytest.approx(2.0, abs=1e-6)
+    assert raw[0, 0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_linear_baseline_handles_duplicate_columns():
@@ -244,9 +249,9 @@ def test_linear_baseline_handles_duplicate_columns():
     y = x + 1.0
     ds = assemble(_samples(X, np.column_stack([y, y])), seed=1)
     model = fit_linear_baseline(ds)
-    assert np.isfinite(model.weights).all()
+    assert np.isfinite(model.weights[0]).all()
     Xs, Ys = design_matrices(ds, ds.train_indices, None)
-    assert np.abs(model.predict_standardized(Xs) - Ys).max() <= 1e-6
+    assert np.abs(forward(model, Xs) - Ys).max() <= 1e-6
 
 
 def test_linear_baseline_against_independent_solver():
@@ -259,7 +264,7 @@ def test_linear_baseline_against_independent_solver():
         Xa.T @ Xa + 1e-6 * np.eye(5), Xa.T @ Y, rcond=None
     )
     np.testing.assert_allclose(
-        model.predict_standardized(X), Xa @ oracle, atol=1e-8
+        forward(model, X), Xa @ oracle, atol=1e-8
     )
 
 
@@ -351,16 +356,25 @@ def test_feature_mask_training_and_prediction(corpus_doc):
 
 def test_save_load_round_trip_bit_exact(tmp_path):
     ds = _linear_dataset()
-    trained, _ = train(init_model(5, [4], seed=6), ds, TrainConfig(epochs=120, patience=300))
-    path = tmp_path / "model.json"
-    save_model(trained, path)
-    again = load_model(path)
-    assert again.layer_dims == trained.layer_dims
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(10, 5))
-    np.testing.assert_array_equal(forward(again, X), forward(trained, X))
-    assert again.epochs_trained == trained.epochs_trained
-    assert again.seed == trained.seed
+    mlp, _ = train(init_model(5, [4], seed=6), ds, TrainConfig(epochs=120, patience=300))
+    for trained in (mlp, fit_linear_baseline(ds)):
+        path = tmp_path / "model.json"
+        save_model(trained, path)
+        again = load_model(path)
+        assert again.layer_dims == trained.layer_dims
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(10, 5))
+        np.testing.assert_array_equal(forward(again, X), forward(trained, X))
+        assert again.epochs_trained == trained.epochs_trained
+        assert again.seed == trained.seed
+
+
+def test_ridge_baseline_ranks_every_default_device(corpus_doc):
+    _, ds = _pipeline_fixture(seed=6)
+    catalog = default_catalog()
+    result = rank_devices(profile(corpus_doc, "copy_kernel"), catalog, fit_linear_baseline(ds))
+    assert sorted(e.device_name for e in result.entries) == sorted(d.name for d in catalog)
+    assert not result.excluded
 
 
 def test_load_model_version_mismatch(tmp_path):
@@ -389,15 +403,37 @@ def test_load_model_corrupt_file(tmp_path):
         load_model(path)
 
 
-def test_load_model_rejects_unchained_shapes(tmp_path):
+def _output_three_wide(doc):
+    doc["layer_dims"][-1] = 3
+    doc["weights"][-1].append(doc["weights"][-1][0])
+    doc["biases"][-1].append(0.0)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda d: d.update(layer_dims=[5, 3, 2]),
+        lambda d: d.update(feature_mask=[True] * 5 + [False]),
+        lambda d: d.update(feature_mask="yes"),
+        lambda d: d.update(feature_mask=[1] * 5),
+        lambda d: d["norm_stats"].update(target_means=[0.0, 0.0, 0.0]),
+        _output_three_wide,
+        lambda d: d.update(layer_dims=[], weights=[], biases=[]),
+        lambda d: d["weights"][0][0].__setitem__(0, float("nan")),
+        lambda d: d["norm_stats"]["feature_stds"].__setitem__(0, float("inf")),
+    ],
+    ids=["unchained-hidden", "mask-length", "mask-string", "mask-ints",
+         "target-stats-3-wide", "output-3-wide", "no-layers", "nan-weight", "inf-stat"],
+)
+def test_load_model_rejects_unchained_shapes(tmp_path, corrupt):
     ds = _linear_dataset()
     trained, _ = train(init_model(5, [], seed=0), ds, TrainConfig(epochs=10, patience=50))
     path = tmp_path / "model.json"
     save_model(trained, path)
     doc = json.loads(path.read_text())
-    doc["layer_dims"] = [5, 3, 2]
+    corrupt(doc)
     path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptFile):
+    with pytest.raises(CorruptFile, match=re.escape(str(path))):
         load_model(path)
 
 

@@ -12,7 +12,7 @@ from wattrank.instruction_profiler import (
     profile_to_features,
     profile_to_json,
 )
-from wattrank.ptx_parser import parse_ptx
+from wattrank.ptx_parser import OPERANDLESS_ROOTS, parse_ptx
 
 _C = InstructionClass
 
@@ -89,7 +89,10 @@ _KNOWN_ROOTS = [
 
 @given(st.lists(st.sampled_from(_KNOWN_ROOTS), max_size=80))
 def test_partition_property(roots):
-    doc = parse_ptx("\n".join(f"{root}.u32 %r1, %r2;" for root in roots))
+    doc = parse_ptx("\n".join(
+        f"{root};" if root in OPERANDLESS_ROOTS else f"{root}.u32 %r1, %r2;"
+        for root in roots
+    ))
     prof = profile(doc, "generated")
     assert sum(prof.counts.values()) == prof.total == len(roots)
     assert profile_to_features(prof).sum() == prof.total

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wattrank.instruction_profiler import profile
 from wattrank.ptx_parser import (
     _STATEMENT_RE,
+    OPERANDLESS_ROOTS,
     TYPE_SUFFIXES,
     MalformedInstruction,
     _parse_instruction,
@@ -174,6 +175,7 @@ def test_corpus_round_trip(corpus_doc, corpus_path):
         "add.u32 %r1, %r2,;",
         "mov.u32 %r1, %r2\nadd.u32 %r3, %r1, 1;",  # missing ';' swallows the add
         "st.u32 [%rd1], %r1\n@%p1 bra $L__BB0_1;",
+        "ret\nexit;",  # missing ';' after an operand-less opcode
     ],
 )
 def test_malformed_statements_abort_with_line(bad):
@@ -204,7 +206,9 @@ _OPERANDS = [
 ]
 
 instruction_strategy = st.builds(
-    lambda root, mods, suffix, ops, guard: (root, mods, suffix, ops, guard),
+    lambda root, mods, suffix, ops, guard: (
+        root, mods, suffix, [] if root in OPERANDLESS_ROOTS else ops, guard
+    ),
     st.sampled_from(_ROOTS),
     st.lists(st.sampled_from(_MODS), max_size=3),
     st.one_of(st.none(), st.sampled_from(sorted(TYPE_SUFFIXES))),
@@ -305,7 +309,8 @@ _MORE_OPERANDS = ["(retval0)", "vprintf", "(param0, param1)", "[tex0, {%f5, %f6}
 def _reflowed_statement(draw):
     """One instruction as ``(one-line text, the same text re-flowed)``."""
     root, mods, suffix, ops, guard = draw(instruction_strategy)
-    ops = ops + draw(st.lists(st.sampled_from(_MORE_OPERANDS), max_size=2))
+    if root not in OPERANDLESS_ROOTS:
+        ops = ops + draw(st.lists(st.sampled_from(_MORE_OPERANDS), max_size=2))
     token = ".".join([root, *mods] + ([suffix] if suffix else []))
     flat = f"{guard + ' ' if guard else ''}{token}"
     flowed = f"{guard + draw(_SEP) if guard else ''}{token}"
