@@ -6,7 +6,6 @@ ridge baseline."""
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -21,16 +20,7 @@ from wattrank.estimator import (
     train,
 )
 
-
-@dataclass
-class SweepConfig:
-    seed: int = 7
-    n_workloads: int = 20
-    epochs: int = 5000
-    lr: float = 0.01
-    hidden_specs: list = field(default_factory=lambda: [
-        [], [14], [28, 14], [56, 28], [28, 28, 14],
-    ])
+HIDDEN_SPECS = [[], [14], [28, 14], [56, 28], [28, 28, 14]]
 
 
 def main() -> int:
@@ -40,11 +30,9 @@ def main() -> int:
     parser.add_argument("--epochs", type=int, default=5000)
     parser.add_argument("--lr", type=float, default=0.01)
     args = parser.parse_args()
-    config = SweepConfig(seed=args.seed, n_workloads=args.n_workloads,
-                         epochs=args.epochs, lr=args.lr)
 
     experiment = synthetic.generate(synthetic.SyntheticConfig(
-        n_workloads=config.n_workloads, seed=config.seed))
+        n_workloads=args.n_workloads, seed=args.seed))
     samples = synthetic.ingest_experiment(experiment)
     ds = assemble(samples, seed=42)
     d = samples[0].features.size
@@ -57,10 +45,10 @@ def main() -> int:
     print(f"{'ridge baseline':<22} {'-':>6} {val['power']['r2']:>13.4f} "
           f"{val['perf']['r2']:>12.4f} {'-':>8}")
 
-    for hidden in config.hidden_specs:
+    for hidden in HIDDEN_SPECS:
         start = time.monotonic()
         model = init_model(d, hidden, seed=42)
-        trained, _ = train(model, ds, TrainConfig(lr=config.lr, epochs=config.epochs))
+        trained, _ = train(model, ds, TrainConfig(lr=args.lr, epochs=args.epochs))
         metrics = evaluate(trained, ds)
         label = "x".join(map(str, trained.layer_dims))
         print(f"{label:<22} {trained.epochs_trained:>6} "

@@ -130,17 +130,13 @@ def _print_metrics(tag: str, metrics: dict) -> None:
 
 def _cmd_train(args) -> int:
     ds = dataset_builder.load_dataset(args.dataset)
-
-    mask = None
     if args.select_threshold is not None:
-        importance = dataset_builder.feature_importance(ds, args.select_target)
-        mask = dataset_builder.select_features(importance, args.select_threshold)
-        print(f"feature selection keeps {sum(mask)} features")
+        ds = dataset_builder.select_features(ds, args.select_threshold)
+        print(f"feature selection keeps {(ds.norm.feature_stds > 0).sum()} features")
 
     config = estimator.TrainConfig(lr=args.lr, epochs=args.epochs, patience=args.patience)
     model = estimator.init_model(
-        ds.samples[0].features.shape[0], _parse_hidden(args.hidden),
-        seed=args.seed, feature_mask=mask,
+        ds.samples[0].features.shape[0], _parse_hidden(args.hidden), seed=args.seed
     )
     trained, history = estimator.train(model, ds, config)
     estimator.save_model(trained, args.out)
@@ -223,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--select-threshold", type=float, default=None,
-                   help="drop features with |correlation| below this")
-    p.add_argument("--select-target", choices=("power", "perf"), default="power")
+                   help="drop features whose |correlation| with both power and "
+                        "perf is below this")
     p.add_argument("--out", required=True, help="model JSON to write")
     p.set_defaults(func=_cmd_train)
 

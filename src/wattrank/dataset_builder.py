@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,30 @@ def feature_vector(profile: InstructionProfile, device: DeviceSpec) -> np.ndarra
     """One row's 14 features, in :func:`feature_names` order: the raw class
     counts, then the device features."""
     return np.concatenate([profile_to_features(profile), device_to_features(device)])
+
+
+def json_number(value) -> float:
+    """``value`` as a float; raises ``TypeError`` unless it is a JSON number
+    (not a string, a boolean or null) and ``ValueError`` if no float holds it."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"number out of range: {value!r}") from exc
+
+
+def json_numbers(value) -> np.ndarray:
+    """A JSON list (nested or not) of numbers as a float array, with the
+    errors of :func:`json_number`; a ragged list raises ``TypeError`` too."""
+    cells = np.asarray(value, dtype=object)
+    if not set(map(type, cells.flat)) <= {int, float}:
+        bad = next(x for x in cells.flat if type(x) not in (int, float))
+        raise TypeError(f"expected a number, got {bad!r}")
+    try:
+        return cells.astype(float)
+    except OverflowError as exc:
+        raise ValueError("a number in the list is out of range") from exc
 
 
 def _column_names(width: int) -> list[str]:
@@ -90,20 +114,26 @@ def sample_to_json(sample: LabeledSample) -> str:
 
 
 def sample_from_json(text: str) -> LabeledSample:
-    """Parse one sample; rejects anything but 14 finite features and targets."""
+    """Parse one sample; rejects anything but string ids and 14 finite
+    features and targets, all JSON numbers."""
     try:
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected an object, got {type(doc).__name__}")
         names = doc.get("feature_names")
         if names is not None and list(names) != feature_names():
             raise InconsistentFeatureLength(
                 f"sample feature ordering {names} does not match the contract"
             )
+        workload_id, device_name = doc["workload_id"], doc["device_name"]
+        if type(workload_id) is not str or type(device_name) is not str:
+            raise TypeError("workload_id and device_name must be strings")
         sample = LabeledSample(
-            workload_id=str(doc["workload_id"]),
-            device_name=str(doc["device_name"]),
-            features=np.asarray(doc["features"], dtype=float),
-            power_w=float(doc["power_w"]),
-            perf_ips=float(doc["perf_ips"]),
+            workload_id=workload_id,
+            device_name=device_name,
+            features=json_numbers(doc["features"]),
+            power_w=json_number(doc["power_w"]),
+            perf_ips=json_number(doc["perf_ips"]),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InconsistentFeatureLength(f"bad sample JSON: {exc}") from exc
@@ -119,7 +149,12 @@ def sample_from_json(text: str) -> LabeledSample:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Z-score statistics; std entries of exactly 0 flag constant columns."""
+    """Z-score statistics.
+
+    A feature std of exactly 0 marks a column that the model does not read,
+    whether it is constant on the train split or unselected by
+    :func:`select_features`: it standardizes to 0.
+    """
 
     feature_means: np.ndarray
     feature_stds: np.ndarray
@@ -148,7 +183,8 @@ class NormStats:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NormStats":
-        return cls(**{f.name: np.asarray(doc[f.name], dtype=float) for f in fields(cls)})
+        """Inverse of :meth:`to_dict`; every stat must be a list of JSON numbers."""
+        return cls(**{f.name: json_numbers(doc[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -261,22 +297,20 @@ def feature_importance(
     return [(name, float(score)) for name, score in ranked]
 
 
-def select_features(
-    importance: list[tuple[str, float]], threshold: float
-) -> list[bool]:
-    """Boolean mask in dataset column order keeping features with
-    |score| >= threshold; the top-scored feature is always kept."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    position = {name: i for i, name in enumerate(_column_names(len(importance)))}
-    mask = [False] * len(position)
-    for name, score in importance:
-        if abs(score) >= threshold:
-            mask[position[name]] = True
-    if not any(mask) and importance:
-        top = max(importance, key=lambda pair: abs(pair[1]))
-        mask[position[top[0]]] = True
-    return mask
+def select_features(ds: TrainingDataset, threshold: float) -> TrainingDataset:
+    """``ds`` with the columns whose :func:`feature_importance` magnitude
+    reaches ``threshold`` for power or for performance; when none does, the
+    best one.  Dropped columns get std 0 in ``ds.norm``, so no model reads
+    them.  Raises :class:`WattrankError` unless ``threshold`` is in [0, 1].
+    """
+    if not 0.0 <= threshold <= 1.0:  # also rejects NaN
+        raise WattrankError(f"selection threshold must be in [0, 1], got {threshold}")
+    power, perf = (dict(feature_importance(ds, target)) for target in _TARGET_COLUMN)
+    scores = np.array([max(abs(power[n]), abs(perf[n])) for n in _column_names(len(power))])
+    keep = scores >= threshold
+    keep[np.argmax(scores)] = True  # already kept unless no column passes
+    stds = np.where(keep, ds.norm.feature_stds, 0.0)
+    return replace(ds, norm=replace(ds.norm, feature_stds=stds))
 
 
 def save_dataset(ds: TrainingDataset, prefix) -> tuple[Path, Path]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dataset_builder import NormStats, TrainingDataset, feature_vector
+from .dataset_builder import NormStats, TrainingDataset, feature_vector, json_numbers
 from .device_catalog import DeviceSpec
 from .errors import WattrankError
 from .instruction_profiler import InstructionProfile
@@ -62,7 +62,6 @@ class MlpModel:
     norm: NormStats | None
     seed: int
     epochs_trained: int = 0
-    feature_mask: tuple[bool, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -89,31 +88,19 @@ class TrainHistory:
 
 
 def init_model(
-    input_dim: int,
-    hidden_spec: list[int] | None = None,
-    seed: int = 42,
-    feature_mask: tuple[bool, ...] | None = None,
+    input_dim: int, hidden_spec: list[int] | None = None, seed: int = 42
 ) -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic in ``seed``.
 
-    ``feature_mask`` (``input_dim`` entries) keeps the marked columns, so
-    the first layer is w = ``sum(feature_mask)`` wide (w = ``input_dim``
-    without a mask).  ``hidden_spec`` defaults to [2w, w]; an empty list
-    yields a plain linear map.
+    ``hidden_spec`` defaults to [2d, d] for d = ``input_dim``; an empty list
+    yields a plain linear map.  Raises :class:`DimensionMismatch` when the
+    input or a hidden layer is less than 1 wide.
     """
-    width = input_dim
-    if feature_mask is not None:
-        if len(feature_mask) != input_dim:
-            raise DimensionMismatch(
-                f"feature_mask has {len(feature_mask)} entries for {input_dim} inputs"
-            )
-        feature_mask = tuple(bool(keep) for keep in feature_mask)
-        width = sum(feature_mask)
-    if width < 1:
-        raise DimensionMismatch(f"model needs at least 1 input feature, got {width}")
     if hidden_spec is None:
-        hidden_spec = [2 * width, width]
-    dims = (width, *hidden_spec, 2)
+        hidden_spec = [2 * input_dim, input_dim]
+    dims = (input_dim, *hidden_spec, 2)
+    if min(dims) < 1:
+        raise DimensionMismatch(f"every layer needs a width of at least 1: {list(dims)}")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -121,10 +108,7 @@ def init_model(
         r = math.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-r, r, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(
-        layer_dims=dims, weights=weights, biases=biases, norm=None, seed=seed,
-        feature_mask=feature_mask,
-    )
+    return MlpModel(layer_dims=dims, weights=weights, biases=biases, norm=None, seed=seed)
 
 
 def _layers(
@@ -175,14 +159,16 @@ def _loss_and_grads(weights, biases, X, Y):
 
 
 def design_matrices(
-    ds: TrainingDataset, indices, feature_mask: tuple[bool, ...] | None = None
+    ds: TrainingDataset, indices, norm: NormStats | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized (X, Y) for the given sample indices, mask applied."""
-    X = ds.norm.standardize_features(ds.feature_matrix(indices))
-    if feature_mask is not None:
-        X = X[:, np.asarray(feature_mask, dtype=bool)]
-    Y = ds.norm.standardize_targets(ds.target_matrix(indices))
-    return X, Y
+    """(X, Y) for the given sample indices, standardized with ``norm`` or ``ds.norm``."""
+    norm = ds.norm if norm is None else norm
+    X = ds.feature_matrix(indices)
+    if X.shape[1] != norm.feature_means.size:
+        raise FeatureContractMismatch(
+            f"dataset has {X.shape[1]} features, statistics cover {norm.feature_means.size}"
+        )
+    return norm.standardize_features(X), norm.standardize_targets(ds.target_matrix(indices))
 
 
 def train(
@@ -191,16 +177,17 @@ def train(
     """Full-batch gradient descent with early stopping.
 
     The returned model holds the weights of the best validation epoch and
-    the dataset's normalization statistics.  Raises
-    :class:`DivergenceDetected` when the train loss stops being finite
-    (learning rate too high).
+    the dataset's normalization statistics.  Raises :class:`WattrankError`
+    when ``config.epochs`` is below 1 and :class:`DivergenceDetected` when
+    the train loss stops being finite (learning rate too high).
     """
-    X_tr, Y_tr = design_matrices(ds, ds.train_indices, m.feature_mask)
-    X_val, Y_val = design_matrices(ds, ds.val_indices, m.feature_mask)
+    if config.epochs < 1:
+        raise WattrankError(f"training needs at least 1 epoch, got {config.epochs}")
+    X_tr, Y_tr = design_matrices(ds, ds.train_indices)
+    X_val, Y_val = design_matrices(ds, ds.val_indices)
     if X_tr.shape[1] != m.layer_dims[0]:
         raise DimensionMismatch(
-            f"dataset provides {X_tr.shape[1]} features after masking, "
-            f"model expects {m.layer_dims[0]}"
+            f"dataset provides {X_tr.shape[1]} features, model expects {m.layer_dims[0]}"
         )
 
     weights = [w.copy() for w in m.weights]
@@ -309,8 +296,6 @@ def predict(m: MlpModel, profile: InstructionProfile, device: DeviceSpec) -> Pre
             f"{m.norm.feature_means.size}"
         )
     x = m.norm.standardize_features(raw)
-    if m.feature_mask is not None:
-        x = x[np.asarray(m.feature_mask, dtype=bool)]
     out = m.norm.destandardize_targets(forward(m, x))
     clamped = bool((out < 0).any())
     out = np.maximum(out, 0.0)
@@ -337,10 +322,11 @@ def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
 
 
 def evaluate(m: MlpModel, ds: TrainingDataset) -> dict:
-    """Standardized-space MSE and R^2 per target on both splits."""
+    """Standardized-space MSE and R^2 per target on both splits; rows are
+    standardized with ``m.norm`` (``ds.norm`` for an untrained model)."""
     report: dict = {}
     for split, indices in (("train", ds.train_indices), ("val", ds.val_indices)):
-        X, Y = design_matrices(ds, indices, m.feature_mask)
+        X, Y = design_matrices(ds, indices, m.norm)
         pred = forward(m, X)
         mse = ((pred - Y) ** 2).mean(axis=0)
         r2 = r2_score(Y, pred)
@@ -360,7 +346,6 @@ def save_model(m: MlpModel, path) -> None:
         "weights": [w.tolist() for w in m.weights],
         "biases": [b.tolist() for b in m.biases],
         "norm_stats": m.norm.to_dict(),
-        "feature_mask": list(m.feature_mask) if m.feature_mask is not None else None,
         "seed": m.seed,
         "epochs_trained": m.epochs_trained,
     }
@@ -372,9 +357,11 @@ def save_model(m: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     """Read a :func:`save_model` file.
 
-    Raises :class:`CorruptFile` naming ``path`` unless the layers chain from
-    the (masked) feature statistics to 2 outputs, the mask is ``null`` or
-    one JSON boolean per feature, and every weight, bias and stat is finite.
+    Raises :class:`CorruptFile` naming ``path`` unless ``layer_dims``,
+    ``seed`` and ``epochs_trained`` are JSON integers, the weights, biases
+    and stats are JSON numbers, every one of them finite, and the layers
+    chain from the feature statistics to 2 outputs.  A ``feature_mask``
+    other than ``null`` is rejected too: models no longer carry a mask.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -387,29 +374,27 @@ def load_model(path) -> MlpModel:
         raise VersionMismatch(
             f"{path}: file version {doc['version']}, expected {MODEL_FILE_VERSION}"
         )
+    if doc.get("feature_mask") is not None:
+        raise CorruptFile(f"{path}: models no longer carry a feature_mask; retrain it")
     try:
-        dims = tuple(int(d) for d in doc["layer_dims"])
-        weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
-        biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
+        dims = doc["layer_dims"]
+        seed = doc["seed"]
+        epochs_trained = doc.get("epochs_trained", 0)
+        if not isinstance(dims, list) or any(
+            type(v) is not int for v in (*dims, seed, epochs_trained)
+        ):
+            raise TypeError("layer_dims, seed and epochs_trained must be JSON integers")
+        weights = [json_numbers(w) for w in doc["weights"]]
+        biases = [json_numbers(b) for b in doc["biases"]]
         norm = NormStats.from_dict(doc["norm_stats"])
-        mask = doc.get("feature_mask")
-        seed = int(doc["seed"])
-        epochs_trained = int(doc.get("epochs_trained", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
     stats = [getattr(norm, f.name) for f in fields(norm)]  # features, then targets
     n = stats[0].size
     if [a.shape for a in stats] != [(n,), (n,), (2,), (2,)]:
         raise CorruptFile(f"{path}: norm_stats are not stats of {n} features and 2 targets")
-    if mask is not None and not (
-        isinstance(mask, list) and len(mask) == n and all(type(k) is bool for k in mask)
-    ):
-        raise CorruptFile(f"{path}: feature_mask is not null or {n} booleans")
-    width = n if mask is None else sum(mask)
-    if len(dims) < 2 or dims[0] != width or dims[-1] != 2:
-        raise CorruptFile(
-            f"{path}: layer_dims {list(dims)} do not map {width} features to 2 outputs"
-        )
+    if len(dims) < 2 or dims[0] != n or dims[-1] != 2:
+        raise CorruptFile(f"{path}: layer_dims {dims} do not map {n} features to 2 outputs")
     expected = list(zip(dims[1:], dims[:-1]))
     if [w.shape for w in weights] != expected or [
         b.shape for b in biases
@@ -418,6 +403,6 @@ def load_model(path) -> MlpModel:
     if not all(np.isfinite(a).all() for a in (*weights, *biases, *stats)):
         raise CorruptFile(f"{path}: non-finite weight, bias or stat")
     return MlpModel(
-        layer_dims=dims, weights=weights, biases=biases, norm=norm, seed=seed,
-        epochs_trained=epochs_trained, feature_mask=None if mask is None else tuple(mask),
+        layer_dims=tuple(dims), weights=weights, biases=biases, norm=norm, seed=seed,
+        epochs_trained=epochs_trained,
     )

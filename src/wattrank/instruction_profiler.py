@@ -112,6 +112,8 @@ def profile_from_json(text: str) -> InstructionProfile:
         total = doc["total"]
     except (KeyError, TypeError) as exc:
         raise InvalidProfile(f"missing field: {exc}") from exc
+    if type(workload_id) is not str:
+        raise InvalidProfile(f"workload_id must be a string, got {workload_id!r}")
     if not isinstance(raw_counts, dict):
         raise InvalidProfile(f"counts must be an object, got {raw_counts!r}")
     if type(total) is not int:
@@ -128,4 +130,4 @@ def profile_from_json(text: str) -> InstructionProfile:
         raise InvalidProfile(
             f"counts sum to {sum(counts.values())}, header says {total}"
         )
-    return InstructionProfile(workload_id=str(workload_id), counts=counts, total=total)
+    return InstructionProfile(workload_id=workload_id, counts=counts, total=total)

@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .dataset_builder import json_number
 from .device_catalog import DeviceSpec
 from .errors import WattrankError
 from .estimator import MlpModel, Prediction, predict
@@ -190,31 +191,47 @@ def report(result: RankingResult, format: str = "table") -> str:
     raise WattrankError(f"unknown report format {format!r}")
 
 
+def _of_type(value, kind: type):
+    """``value`` when its type is exactly ``kind`` (so a boolean is no int)."""
+    if type(value) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def parse_report_json(text: str) -> RankingResult:
-    """Rebuild a :class:`RankingResult` from :func:`report`'s JSON output."""
-    doc = json.loads(text)
-    entries = [
-        RankingEntry(
-            device_name=e["device"],
-            power_w=float(e["power_w"]),
-            perf_ips=float(e["perf_ips"]),
-            objective_score=float(e["score"]),
-            rank=int(e["rank"]),
+    """Rebuild a :class:`RankingResult` from :func:`report`'s JSON output.
+
+    Raises :class:`WattrankError` unless device names and the objective are
+    strings, ranks are integers, and watts, performance, scores and the
+    power cap (or null) are JSON numbers.
+    """
+    try:
+        doc = json.loads(text)
+        entries = [
+            RankingEntry(
+                device_name=_of_type(e["device"], str),
+                power_w=json_number(e["power_w"]),
+                perf_ips=json_number(e["perf_ips"]),
+                objective_score=json_number(e["score"]),
+                rank=_of_type(e["rank"], int),
+            )
+            for e in doc["entries"]
+        ]
+        excluded = [
+            Prediction(
+                power_w=json_number(p["power_w"]),
+                perf_ips=json_number(p["perf_ips"]),
+                device_name=_of_type(p["device"], str),
+                workload_id="",
+            )
+            for p in doc["excluded"]
+        ]
+        cap = doc["power_cap_w"]
+        return RankingResult(
+            entries=entries,
+            excluded=excluded,
+            objective=_of_type(doc["objective"], str),
+            power_cap_w=None if cap is None else json_number(cap),
         )
-        for e in doc["entries"]
-    ]
-    excluded = [
-        Prediction(
-            power_w=float(p["power_w"]),
-            perf_ips=float(p["perf_ips"]),
-            device_name=p["device"],
-            workload_id="",
-        )
-        for p in doc["excluded"]
-    ]
-    return RankingResult(
-        entries=entries,
-        excluded=excluded,
-        objective=doc["objective"],
-        power_cap_w=doc["power_cap_w"],
-    )
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise WattrankError(f"not a ranking report: {exc!r}") from exc

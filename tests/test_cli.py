@@ -137,14 +137,40 @@ def test_rank_power_cap_excludes_everything(workflow, capsys):
     assert "exclude" in capsys.readouterr().err
 
 
-def test_train_with_feature_selection(workflow, capsys):
-    root = workflow
-    out = root / "model_selected.json"
-    assert main(["train", "--dataset", str(root / "ds"), "--hidden", "none",
+def test_train_with_feature_selection(workflow, tmp_path, capsys):
+    prefix, out = tmp_path / "ds", tmp_path / "model_selected.json"
+    assert main(["dataset", "build", "--samples", str(workflow / "samples"),
+                 "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(prefix), "--hidden", "none",
                  "--epochs", "200", "--patience", "200", "--lr", "0.05",
-                 "--select-threshold", "0.1", "--out", str(out)]) == 0
-    assert "feature selection keeps" in capsys.readouterr().out
-    assert out.exists()
+                 "--select-threshold", "0.9", "--out", str(out)]) == 0
+    trained = capsys.readouterr().out
+    assert "feature selection keeps 8 features" in trained
+    assert main(["eval", "--model", str(out), "--dataset", str(prefix)]) == 0
+    # eval reads the saved dataset, dropped columns included, and must still
+    # standardize with the selected statistics the model was trained on
+    evaluated = capsys.readouterr().out
+    assert [line.replace("mlp", "model", 1) for line in trained.splitlines()
+            if line.startswith("mlp")] == evaluated.splitlines()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--select-threshold", "1.5"], ["--select-threshold", "nan"], ["--hidden", "-3"],
+     ["--hidden", "0"], ["--epochs", "0"], ["--epochs", "-5"]],
+    ids=["threshold-1.5", "threshold-nan", "hidden-negative", "hidden-zero",
+         "epochs-zero", "epochs-negative"],
+)
+def test_train_rejects_bad_arguments(workflow, tmp_path, capsys, flags):
+    prefix, out = tmp_path / "ds", tmp_path / "m.json"
+    assert main(["dataset", "build", "--samples", str(workflow / "samples"),
+                 "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(prefix), *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_train_on_dataset_with_bad_cell_exits_one(workflow, tmp_path, capsys):
@@ -183,11 +209,12 @@ def _edit_json(change):
         ("profile", _edit_json(lambda d: d.update(counts=list(d["counts"].values())))),
         ("profile", _edit_json(lambda d: d.update(
             counts={**dict.fromkeys(d["counts"], 0), "other": True}, total=1))),
+        ("profile", _edit_json(lambda d: d.update(workload_id=7))),
     ],
     ids=["meta-malformed", "meta-nan-wall-clock", "meta-infinite-wall-clock",
          "meta-fractional-repetitions", "meta-bool-repetitions",
          "meta-numeric-workload-id", "meta-string-wall-clock",
-         "profile-counts-list", "profile-bool-count"],
+         "profile-counts-list", "profile-bool-count", "profile-numeric-workload-id"],
 )
 def test_ingest_of_bad_meta_or_profile_exits_one(workflow, tmp_path, capsys, which, corrupt):
     files = {"meta": workflow / "run0.meta.json",
@@ -213,9 +240,11 @@ def test_ingest_of_bad_meta_or_profile_exits_one(workflow, tmp_path, capsys, whi
         _edit_json(lambda d: d.update(train_indices=[float(i) for i in d["train_indices"]])),
         _edit_json(lambda d: d["norm_stats"].update(feature_means=[0.0, 0.0, 0.0])),
         _edit_json(lambda d: d["norm_stats"].update(target_stds=[float("nan"), 1.0])),
+        _edit_json(lambda d: d["norm_stats"]["feature_means"].__setitem__(0, "1.5")),
+        _edit_json(lambda d: d["norm_stats"]["target_stds"].__setitem__(1, True)),
     ],
     ids=["malformed", "list", "no-norm-stats", "index-999", "index-twice",
-         "float-indices", "narrow-stats", "nan-stat"],
+         "float-indices", "narrow-stats", "nan-stat", "string-mean", "bool-std"],
 )
 def test_train_on_corrupt_sidecar_exits_one(workflow, tmp_path, capsys, corrupt):
     prefix = tmp_path / "ds"
@@ -253,6 +282,25 @@ def test_rank_with_corrupt_model_exits_one(workflow, tmp_path, capsys, corrupt):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {model}")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"workload_id": 5}, {"device_name": ["x"]}, {"power_w": "150"}, {"perf_ips": True}],
+    ids=["numeric-workload-id", "list-device-name", "string-power", "bool-perf"],
+)
+def test_dataset_build_of_coerced_sample_exits_one(workflow, tmp_path, capsys, change):
+    samples = tmp_path / "samples"
+    samples.mkdir()
+    good = sorted((workflow / "samples").glob("*.json"))[:3]
+    for path in good:
+        (samples / path.name).write_text(path.read_text())
+    (samples / "bad.json").write_text(
+        _edit_json(lambda d: d.update(change))(good[0].read_text()))
+    assert main(["dataset", "build", "--samples", str(samples),
+                 "--out", str(tmp_path / "ds")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "ds.csv").exists()
 
 
 def test_dataset_build_empty_dir_exits_one(tmp_path):

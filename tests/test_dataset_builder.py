@@ -110,11 +110,23 @@ _GOOD_SAMPLE = {
     {"power_w": "nan"},
     {"perf_ips": float("inf")},
     {"power_w": None},
+    {"workload_id": 5},
+    {"device_name": ["x"]},
+    {"power_w": "150"},
+    {"perf_ips": True},
+    {"features": [1.0] * 13 + ["1.0"]},
+    {"features": [1.0] * 13 + [False]},
 ])
 def test_sample_json_rejects_bad_samples(change):
     assert sample_from_json(json.dumps(_GOOD_SAMPLE)).features.shape == (14,)
     with pytest.raises(InconsistentFeatureLength):
         sample_from_json(json.dumps({**_GOOD_SAMPLE, **change}))
+
+
+@pytest.mark.parametrize("text", ["[]", '"sample"', "7", "null"])
+def test_sample_json_rejects_non_objects(text):
+    with pytest.raises(InconsistentFeatureLength):
+        sample_from_json(text)
 
 
 def test_split_sizes():
@@ -282,31 +294,62 @@ def test_importance_constant_column_scores_zero():
     assert dict(feature_importance(ds, "power"))["f0"] == 0.0
 
 
+def _kept(ds):
+    return (ds.norm.feature_stds > 0).tolist()
+
+
 def test_select_features_thresholds():
-    importance = [("f0", 0.9), ("f1", 0.4), ("f2", 0.1)]
-    assert select_features(importance, 0.0) == [True, True, True]
-    assert select_features(importance, 0.3) == [True, True, False]
-    assert select_features(importance, 1.0) == [True, False, False]
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(50, 4))
+    Y = np.column_stack([X[:, 0] + 0.6 * X[:, 1], X[:, 2]]) + rng.normal(size=(50, 2))
+    ds = assemble(_samples(X, Y), seed=2)
+    power, perf = dict(feature_importance(ds, "power")), dict(feature_importance(ds, "perf"))
+    best = [max(abs(power[f"f{j}"]), abs(perf[f"f{j}"])) for j in range(4)]
+    for threshold in (0.0, 0.1, 0.3, 0.5, 0.7, 1.0):
+        selected = select_features(ds, threshold)
+        expected = [score >= threshold for score in best]
+        assert _kept(selected) == (expected if any(expected) else
+                                   [score == max(best) for score in best])
+        np.testing.assert_array_equal(
+            selected.norm.feature_stds, np.where(_kept(selected), ds.norm.feature_stds, 0.0)
+        )
+        assert selected.samples is ds.samples and selected.seed == ds.seed
+        assert (selected.train_indices, selected.val_indices) == (
+            ds.train_indices, ds.val_indices)
+        for name in ("feature_means", "target_means", "target_stds"):
+            assert getattr(selected.norm, name) is getattr(ds.norm, name)
 
 
 def test_select_features_negative_scores_use_magnitude():
-    importance = [("f0", -0.8), ("f1", 0.2)]
-    assert select_features(importance, 0.5) == [True, False]
+    rng = np.random.default_rng(8)
+    base = rng.normal(size=30)
+    X = np.column_stack([-base, 0.1 * base + rng.normal(size=30)])
+    ds = assemble(_samples(X, np.column_stack([base, base])), seed=1)
+    assert _kept(select_features(ds, 0.5)) == [True, False]
 
 
 def test_select_features_threshold_validated():
-    with pytest.raises(ValueError):
-        select_features([("f0", 0.5)], 1.5)
+    ds = assemble(_random_samples(10), seed=0)
+    for threshold in (1.5, -0.1, float("nan")):
+        with pytest.raises(WattrankError, match="threshold"):
+            select_features(ds, threshold)
 
 
 def test_select_features_mask_is_in_column_order():
-    # importance arrives sorted by |score|, not by column
-    importance = [("f2", 0.98), ("f0", 0.36), ("f1", -0.11)]
-    assert select_features(importance, 0.2) == [True, False, True]
-    assert select_features(importance, 0.99) == [False, False, True]
-    names = feature_names()
-    ranked = [(names[3], 0.9)] + [(name, 0.0) for name in names if name != names[3]]
-    assert select_features(ranked, 0.5) == [i == 3 for i in range(14)]
+    # when no column reaches the threshold, the best one is kept, wherever it is
+    rng = np.random.default_rng(4)
+    y = rng.normal(size=40)
+    X = np.column_stack([rng.normal(size=40), rng.normal(size=40), y + rng.normal(size=40)])
+    ds = assemble(_samples(X, np.column_stack([y, -y])), seed=5)
+    assert feature_importance(ds, "perf")[0][0] == "f2"
+    assert _kept(select_features(ds, 0.99)) == [False, False, True]
+
+
+def test_select_features_keeps_the_union_over_both_targets():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(60, 3))
+    ds = assemble(_samples(X, X[:, :2] + 0.1 * rng.normal(size=(60, 2))), seed=3)
+    assert _kept(select_features(ds, 0.5)) == [True, True, False]
 
 
 @given(st.integers(min_value=3, max_value=60), st.integers(min_value=0, max_value=2**31))

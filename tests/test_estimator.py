@@ -1,12 +1,14 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wattrank.dataset_builder import LabeledSample, assemble
+from wattrank import synthetic
+from wattrank.dataset_builder import LabeledSample, assemble, feature_names, select_features
 from wattrank.device_catalog import DeviceSpec, default_catalog
 from wattrank.estimator import (
     CorruptFile,
@@ -29,6 +31,7 @@ from wattrank.estimator import (
     save_model,
     train,
 )
+from wattrank.errors import WattrankError
 from wattrank.instruction_profiler import profile
 from wattrank.ptx_parser import parse_ptx
 from wattrank.ranking import rank_devices
@@ -78,23 +81,16 @@ def test_zero_hidden_layers_is_linear_map():
     assert m.layer_dims == (14, 2)
 
 
-@pytest.mark.parametrize("hidden", [None, []])
-@pytest.mark.parametrize("seed", [0, 42])
-def test_masked_init_matches_init_at_masked_width(hidden, seed):
-    mask = (True, False, True, True) + (False,) * 7 + (True, False, True)
-    masked = init_model(14, hidden, seed=seed, feature_mask=mask)
-    plain = init_model(sum(mask), hidden, seed=seed)
-    assert masked.feature_mask == mask
-    assert masked.layer_dims == plain.layer_dims
-    for a, b in zip(masked.weights, plain.weights, strict=True):
-        np.testing.assert_array_equal(a, b)
+@pytest.mark.parametrize("input_dim,hidden", [(14, [-3]), (14, [0]), (14, [4, 0]), (0, None)])
+def test_init_rejects_layers_narrower_than_one(input_dim, hidden):
+    with pytest.raises(DimensionMismatch):
+        init_model(input_dim, hidden)
 
 
-def test_init_rejects_mask_of_wrong_length():
-    with pytest.raises(DimensionMismatch):
-        init_model(14, feature_mask=(True,) * 13)
-    with pytest.raises(DimensionMismatch):
-        init_model(3, feature_mask=(False, False, False))
+@pytest.mark.parametrize("epochs", [0, -5])
+def test_train_rejects_fewer_than_one_epoch(epochs):
+    with pytest.raises(WattrankError, match="epoch"):
+        train(init_model(5, [], seed=0), _linear_dataset(), TrainConfig(epochs=epochs))
 
 
 def test_forward_zero_network():
@@ -347,11 +343,40 @@ def test_predict_feature_contract_mismatch(corpus_doc):
 
 def test_feature_mask_training_and_prediction(corpus_doc):
     _, ds = _pipeline_fixture(seed=5)
-    mask = tuple([True] + [False] * 7 + [True] * 6)
-    trained, _ = train(init_model(14, [], seed=0, feature_mask=mask), ds,
+    selected = select_features(ds, 0.5)
+    trained, _ = train(init_model(14, [], seed=0), selected,
                        TrainConfig(epochs=60, patience=100))
+    assert trained.norm is selected.norm
     prediction = predict(trained, profile(corpus_doc, "copy_kernel"), DEVICE_A)
     assert np.isfinite([prediction.power_w, prediction.perf_ips]).all()
+
+
+@pytest.fixture(scope="module")
+def default_synthetic_ds():
+    samples = synthetic.ingest_experiment(synthetic.generate(synthetic.SyntheticConfig()))
+    return assemble(samples, seed=42)
+
+
+def test_selection_serves_both_targets_on_default_synthetic(default_synthetic_ds):
+    ds = default_synthetic_ds
+    selected = select_features(ds, 0.1)
+    np.testing.assert_array_equal(selected.norm.feature_stds > 0, ds.norm.feature_stds > 0)
+    val = evaluate(fit_linear_baseline(selected), selected)["val"]
+    assert val["perf"]["r2"] >= 0.95 and val["power"]["r2"] >= 0.95
+
+
+def test_prediction_ignores_a_dropped_device_feature(default_synthetic_ds, corpus_doc):
+    ds = default_synthetic_ds
+    selected = select_features(ds, 1.0)  # keeps the single best column
+    sm_count = feature_names().index("sm_count")
+    assert selected.norm.feature_stds[sm_count] == 0 < ds.norm.feature_stds[sm_count]
+    prof = profile(corpus_doc, "copy_kernel")
+    device = default_catalog()[0]
+    tripled = replace(device, sm_count=3 * device.sm_count)
+    model, _ = train(init_model(14, [7], seed=0), selected, TrainConfig(epochs=60))
+    assert predict(model, prof, tripled) == predict(model, prof, device)
+    unselected, _ = train(init_model(14, [7], seed=0), ds, TrainConfig(epochs=60))
+    assert predict(unselected, prof, tripled) != predict(unselected, prof, device)
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):
@@ -367,6 +392,12 @@ def test_save_load_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(forward(again, X), forward(trained, X))
         assert again.epochs_trained == trained.epochs_trained
         assert again.seed == trained.seed
+        # files written before models dropped their mask say "feature_mask": null
+        path.write_text(json.dumps({**json.loads(path.read_text()), "feature_mask": None}))
+        older = load_model(path)
+        np.testing.assert_array_equal(forward(older, X), forward(trained, X))
+        save_model(older, path)
+        np.testing.assert_array_equal(forward(load_model(path), X), forward(trained, X))
 
 
 def test_ridge_baseline_ranks_every_default_device(corpus_doc):
@@ -410,22 +441,30 @@ def _output_three_wide(doc):
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt,reason",
     [
-        lambda d: d.update(layer_dims=[5, 3, 2]),
-        lambda d: d.update(feature_mask=[True] * 5 + [False]),
-        lambda d: d.update(feature_mask="yes"),
-        lambda d: d.update(feature_mask=[1] * 5),
-        lambda d: d["norm_stats"].update(target_means=[0.0, 0.0, 0.0]),
-        _output_three_wide,
-        lambda d: d.update(layer_dims=[], weights=[], biases=[]),
-        lambda d: d["weights"][0][0].__setitem__(0, float("nan")),
-        lambda d: d["norm_stats"]["feature_stds"].__setitem__(0, float("inf")),
+        (lambda d: d.update(layer_dims=[5, 3, 2]), "do not chain"),
+        (lambda d: d.update(feature_mask=[True] * 5 + [False]), "feature_mask"),
+        (lambda d: d.update(feature_mask="yes"), "feature_mask"),
+        (lambda d: d.update(feature_mask=[1] * 5), "feature_mask"),
+        (lambda d: d["norm_stats"].update(target_means=[0.0, 0.0, 0.0]), "norm_stats"),
+        (_output_three_wide, "do not map"),
+        (lambda d: d.update(layer_dims=[], weights=[], biases=[]), "do not map"),
+        (lambda d: d["weights"][0][0].__setitem__(0, float("nan")), "non-finite"),
+        (lambda d: d["norm_stats"]["feature_stds"].__setitem__(0, float("inf")), "non-finite"),
+        (lambda d: d["layer_dims"].__setitem__(0, 5.7), "integers"),
+        (lambda d: d.update(seed=True), "integers"),
+        (lambda d: d.update(epochs_trained="12"), "integers"),
+        (lambda d: d["weights"][0][0].__setitem__(0, "0.63"), "expected a number"),
+        (lambda d: d["biases"][0].__setitem__(0, False), "expected a number"),
+        (lambda d: d["norm_stats"]["feature_means"].__setitem__(0, "1.5"), "expected a number"),
     ],
     ids=["unchained-hidden", "mask-length", "mask-string", "mask-ints",
-         "target-stats-3-wide", "output-3-wide", "no-layers", "nan-weight", "inf-stat"],
+         "target-stats-3-wide", "output-3-wide", "no-layers", "nan-weight", "inf-stat",
+         "float-dim", "bool-seed", "string-epochs", "string-weight", "bool-bias",
+         "string-mean"],
 )
-def test_load_model_rejects_unchained_shapes(tmp_path, corrupt):
+def test_load_model_rejects_unchained_shapes(tmp_path, corrupt, reason):
     ds = _linear_dataset()
     trained, _ = train(init_model(5, [], seed=0), ds, TrainConfig(epochs=10, patience=50))
     path = tmp_path / "model.json"
@@ -433,8 +472,33 @@ def test_load_model_rejects_unchained_shapes(tmp_path, corrupt):
     doc = json.loads(path.read_text())
     corrupt(doc)
     path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptFile, match=re.escape(str(path))):
+    with pytest.raises(CorruptFile, match=re.escape(str(path)) + ".*" + reason):
         load_model(path)
+
+
+def test_evaluate_standardizes_with_the_model_statistics():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(60, 5)) * rng.uniform(1, 20, size=5)
+    Y = X @ rng.normal(size=(2, 5)).T + rng.normal(scale=2.0, size=(60, 2)) + [50.0, 1e3]
+    trained, _ = train(init_model(5, [4], seed=1), assemble(_samples(X, Y), seed=42),
+                       TrainConfig(epochs=200, patience=400))
+    other = assemble(_samples(X, Y), seed=7)  # another split, other statistics
+    metrics = evaluate(trained, other)
+    for split, indices in (("train", other.train_indices), ("val", other.val_indices)):
+        Xs = trained.norm.standardize_features(other.feature_matrix(indices))
+        Ys = trained.norm.standardize_targets(other.target_matrix(indices))
+        pred = forward(trained, Xs)
+        for column, target in enumerate(("power", "perf")):
+            assert metrics[split][target] == {
+                "mse": float(((pred - Ys) ** 2).mean(axis=0)[column]),
+                "r2": float(r2_score(Ys, pred)[column]),
+            }
+
+
+def test_evaluate_rejects_a_dataset_of_another_width():
+    trained, _ = train(init_model(5, [], seed=0), _linear_dataset(d=5), TrainConfig(epochs=5))
+    with pytest.raises(FeatureContractMismatch):
+        evaluate(trained, _linear_dataset(d=4))
 
 
 def test_evaluate_reports_both_targets_and_splits():

@@ -115,6 +115,7 @@ def test_profile_json_round_trip(corpus_doc):
         lambda d: d.replace("data_movement_and_conversion", "made_up_class"),
         lambda d: d[: len(d) // 2],
         lambda d: d.replace('"workload_id": "copy_kernel",', ""),
+        lambda d: d.replace('"workload_id": "copy_kernel",', '"workload_id": 7,'),
     ],
 )
 def test_profile_json_rejects_bad_documents(corpus_doc, mutation):

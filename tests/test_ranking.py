@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wattrank.errors import WattrankError
 from wattrank.estimator import Prediction
 from wattrank.ranking import (
     CSV_HEADER,
@@ -146,6 +147,34 @@ def test_json_round_trips_to_same_entries():
     assert [p.device_name for p in again.excluded] == [
         p.device_name for p in result.excluded
     ]
+
+
+def _report_doc(change):
+    doc = json.loads(report(_result(), "json"))
+    change(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        "[]",
+        "not json",
+        _report_doc(lambda d: d["entries"][0].pop("power_w")),
+        _report_doc(lambda d: d["entries"][0].update(power_w="150")),
+        _report_doc(lambda d: d["entries"][0].update(rank=True)),
+        _report_doc(lambda d: d["entries"][0].update(device=7)),
+        _report_doc(lambda d: d["excluded"].append({"device": "x"})),
+        _report_doc(lambda d: d.update(power_cap_w="250")),
+        _report_doc(lambda d: d.update(objective=None)),
+    ],
+    ids=["empty-object", "list", "malformed", "no-power", "string-power", "bool-rank",
+         "numeric-device", "excluded-without-power", "string-cap", "null-objective"],
+)
+def test_parse_report_json_rejects_other_documents(text):
+    with pytest.raises(WattrankError, match="not a ranking report"):
+        parse_report_json(text)
 
 
 def test_table_excluded_section_only_when_needed():
