@@ -84,7 +84,8 @@ def _cmd_ingest(args) -> int:
     )
     print(
         f"{record.workload_id} on {record.device_name}: "
-        f"{record.mean_power_w:.2f} W, {record.perf_ips:.4g} inst/s -> {args.out}"
+        f"{record.mean_power_w:.2f} W, {record.perf_ips:.4g} inst/s "
+        f"({trace.zero_w_dropped} 0 W rows dropped) -> {args.out}"
     )
     return 0
 

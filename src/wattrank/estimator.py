@@ -178,11 +178,14 @@ def train(
 
     The returned model holds the weights of the best validation epoch and
     the dataset's normalization statistics.  Raises :class:`WattrankError`
-    when ``config.epochs`` is below 1 and :class:`DivergenceDetected` when
-    the train loss stops being finite (learning rate too high).
+    when ``config.epochs`` is below 1 or ``config.lr`` is not a finite
+    positive number, and :class:`DivergenceDetected` when the train loss
+    stops being finite (learning rate too high).
     """
     if config.epochs < 1:
         raise WattrankError(f"training needs at least 1 epoch, got {config.epochs}")
+    if not (math.isfinite(config.lr) and config.lr > 0):
+        raise WattrankError(f"learning rate must be finite and > 0, got {config.lr}")
     X_tr, Y_tr = design_matrices(ds, ds.train_indices)
     X_val, Y_val = design_matrices(ds, ds.val_indices)
     if X_tr.shape[1] != m.layer_dims[0]:

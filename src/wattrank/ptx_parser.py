@@ -9,17 +9,19 @@ skipped (``.version``, ``.target``, ``.address_size``, ``.file`` and
 ``.loc`` end at the line, other directives at ``;`` or before a body
 ``{``); ``.entry`` directives also contribute kernel names.  Trailing text
 with no ``;`` is counted as an unterminated fragment.  Every other
-statement is an instruction: parsing keeps its opcode root, text and line,
-and :attr:`PtxDocument.instructions` decodes it on first use into root,
-modifiers, data-type suffix and operands.  There is no semantic checking
-(register typing, ABI): unknown opcodes parse fine and are classified
-downstream.
+statement is an instruction, and parsing keeps only its opcode root: it
+decodes (and counts lines up to) just the statements whose shape it cannot
+vouch for, so a malformed one raises with its line.
+:attr:`PtxDocument.instructions` re-scans the comment-stripped text on
+first use and decodes every instruction into root, modifiers, data-type
+suffix, operands and line.  There is no semantic checking (register
+typing, ABI): unknown opcodes parse fine and are classified downstream.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -98,19 +100,41 @@ class PtxInstruction:
 
 @dataclass(frozen=True)
 class PtxDocument:
-    """One PTX file's instructions in source order: their opcode roots, and
-    each one's text (without the ``;``) with the line it starts on."""
+    """One PTX file's instructions in source order, as opcode roots.  The
+    comment-stripped text is kept so that :attr:`instructions` can decode
+    them on demand."""
 
     opcode_roots: tuple[str, ...]
-    statements: tuple[tuple[str, int], ...]
     kernel_names: tuple[str, ...]
     skipped_directive_count: int  # directives, labels and braces
     fragment_count: int  # unterminated trailing text
+    text: str = field(repr=False, compare=False)  # comments stripped
 
     @cached_property
     def instructions(self) -> tuple[PtxInstruction, ...]:
-        """Every instruction statement, decoded on first access."""
-        return tuple(_parse_instruction(stmt, line) for stmt, line in self.statements)
+        """Every instruction statement, decoded on first access by
+        re-scanning :attr:`text`."""
+        line_at = _line_counter(self.text)
+        return tuple(
+            _parse_instruction(m["stmt"], line_at(m.start("stmt")))
+            for m in _STATEMENT_RE.finditer(self.text)
+            if m["stmt"] is not None
+        )
+
+
+def _line_counter(text: str):
+    """``line_at(offset)``: the 1-based line of ``offset`` in ``text``.
+    Offsets must not decrease from call to call; each call counts only the
+    newlines since the previous one, so a whole pass stays linear."""
+    line, pos = 1, 0
+
+    def line_at(offset: int) -> int:
+        nonlocal line, pos
+        line += text.count("\n", pos, offset)
+        pos = offset
+        return line
+
+    return line_at
 
 
 def _split_operands(text: str, line: int) -> tuple[str, ...]:
@@ -200,22 +224,17 @@ def parse_ptx(text: str) -> PtxDocument:
     # whitespace goes, as the regex would rescan it from every position.
     text = _COMMENT_RE.sub(lambda m: "\n" * m.group().count("\n") or " ", text).rstrip()
     roots: list[str] = []
-    statements: list[tuple[str, int]] = []
     kernel_names: list[str] = []
     skipped = fragments = 0
-    line, pos = 1, 0
+    line_at = _line_counter(text)
     for m in _STATEMENT_RE.finditer(text):
         directive, stmt, root, fragment = m.groups()
         if stmt is not None:
-            start = m.start("stmt")
-            line += text.count("\n", pos, start)
-            pos = start
             if root is None or root in OPERANDLESS_ROOTS:
                 # Not the common shape, or no operands allowed: decode now, so
-                # a malformed one raises.
-                root = _parse_instruction(stmt, line).opcode_root
+                # a malformed one raises.  Only these need their line.
+                root = _parse_instruction(stmt, line_at(m.start("stmt"))).opcode_root
             roots.append(root)
-            statements.append((stmt, line))
         elif fragment is not None:
             fragments += 1
         else:
@@ -225,10 +244,10 @@ def parse_ptx(text: str) -> PtxDocument:
 
     return PtxDocument(
         opcode_roots=tuple(roots),
-        statements=tuple(statements),
         kernel_names=tuple(kernel_names),
         skipped_directive_count=skipped,
         fragment_count=fragments,
+        text=text,
     )
 
 

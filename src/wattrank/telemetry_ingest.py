@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -46,9 +47,11 @@ class ImplausiblePower(WattrankError):
 
 @dataclass(frozen=True)
 class PowerTrace:
-    """Sampled power draw: (timestamp-or-index, watts) pairs in file order."""
+    """Sampled power draw: (timestamp-or-index, watts) pairs in file order,
+    and how many 0 W rows the parser dropped."""
 
     samples: tuple[tuple[float, float], ...]
+    zero_w_dropped: int = 0
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,28 @@ class RunRecord:
 SAMPLE_INTERVAL_S = 1.0
 
 _TIMESTAMP_FORMATS = ("%Y/%m/%d %H:%M:%S.%f", "%Y/%m/%d %H:%M:%S")
+# nvidia-smi's own shape, on which fromisoformat agrees with strptime.
+_NVIDIA_SMI_TIMESTAMP_RE = re.compile(
+    r"\d{4}/\d{2}/\d{2} \d{2}:\d{2}:\d{2}(?:\.\d{1,6})?", re.ASCII
+)
 
 
 def _parse_timestamp(raw: str) -> float | None:
+    """Seconds as a float, or ``None`` when ``raw`` is no timestamp.
+
+    nvidia-smi's ``YYYY/MM/DD HH:MM:SS[.ffffff]`` is read first, by
+    ``fromisoformat``, ~10x faster than ``strptime``; such a string is never
+    a number, so reading it before ``float`` changes no result.  Any other
+    text, and any such string that ``fromisoformat`` rejects, is tried as a
+    bare number, then by ``strptime`` with :data:`_TIMESTAMP_FORMATS`, then
+    by ``fromisoformat``.
+    """
     raw = raw.strip()
+    if _NVIDIA_SMI_TIMESTAMP_RE.fullmatch(raw):
+        try:
+            return datetime.fromisoformat(raw.replace("/", "-")).timestamp()
+        except ValueError:
+            pass
     try:
         return float(raw)
     except ValueError:
@@ -109,7 +130,8 @@ def _parse_watts(raw: str, row: int) -> float:
 
 def parse_power_csv_text(text: str) -> PowerTrace:
     """A row without a parsable timestamp is stamped with its sample index
-    times :data:`SAMPLE_INTERVAL_S`."""
+    times :data:`SAMPLE_INTERVAL_S`.  Rows that read exactly 0 W are dropped
+    and counted in :attr:`PowerTrace.zero_w_dropped`."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -128,15 +150,17 @@ def parse_power_csv_text(text: str) -> PowerTrace:
         raise MissingColumn(f"no column matching 'power.draw' in header {header!r}")
 
     samples: list[tuple[float, float]] = []
+    zero_w_dropped = 0
     last_ts = -math.inf
     for row_number, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        if not any(map(str.strip, row)):
             continue
         if power_col >= len(row):
             raise UnparsableValue(row_number, f"row has no power field: {row!r}")
         watts = _parse_watts(row[power_col], row_number)
         if watts == 0.0:
             # A powered GPU never reads exactly 0 W; treat as sensor glitch.
+            zero_w_dropped += 1
             continue
         timestamp = None
         if time_col is not None and time_col < len(row):
@@ -150,7 +174,7 @@ def parse_power_csv_text(text: str) -> PowerTrace:
 
     if not samples:
         raise EmptyTrace("no power samples in file")
-    return PowerTrace(samples=tuple(samples))
+    return PowerTrace(samples=tuple(samples), zero_w_dropped=zero_w_dropped)
 
 
 def parse_power_csv(path) -> PowerTrace:

@@ -128,11 +128,15 @@ def test_ingest_dataset_train_eval_rank(workflow, capsys):
     assert {e["device"] for e in doc["entries"]} == {"V100", "2080Ti", "1080Ti"}
 
 
-def test_rank_power_cap_excludes_everything(workflow, capsys):
-    root = workflow
-    ptx = next(root.glob("cnn_*.ptx"))
-    code = main(["rank", "--ptx", str(ptx), "--model", str(root / "model.json"),
-                 "--power-cap", "0.001"])
+def test_rank_power_cap_excludes_everything(workflow, tmp_path, capsys):
+    prefix, model = tmp_path / "ds", tmp_path / "model.json"
+    assert main(["dataset", "build", "--samples", str(workflow / "samples"),
+                 "--out", str(prefix)]) == 0
+    assert main(["train", "--dataset", str(prefix), "--hidden", "none", "--epochs", "5",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    code = main(["rank", "--ptx", str(next(workflow.glob("cnn_*.ptx"))),
+                 "--model", str(model), "--power-cap", "0.001"])
     assert code == 2
     assert "exclude" in capsys.readouterr().err
 
@@ -158,9 +162,10 @@ def test_train_with_feature_selection(workflow, tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [["--select-threshold", "1.5"], ["--select-threshold", "nan"], ["--hidden", "-3"],
-     ["--hidden", "0"], ["--epochs", "0"], ["--epochs", "-5"]],
+     ["--hidden", "0"], ["--epochs", "0"], ["--epochs", "-5"], ["--lr", "0"],
+     ["--lr", "-0.01"], ["--lr", "nan"], ["--lr", "inf"]],
     ids=["threshold-1.5", "threshold-nan", "hidden-negative", "hidden-zero",
-         "epochs-zero", "epochs-negative"],
+         "epochs-zero", "epochs-negative", "lr-zero", "lr-negative", "lr-nan", "lr-inf"],
 )
 def test_train_rejects_bad_arguments(workflow, tmp_path, capsys, flags):
     prefix, out = tmp_path / "ds", tmp_path / "m.json"
@@ -227,6 +232,21 @@ def test_ingest_of_bad_meta_or_profile_exits_one(workflow, tmp_path, capsys, whi
                  "--out", str(tmp_path / "sample.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "sample.json").exists()
+
+
+def test_ingest_reports_dropped_zero_watt_rows(workflow, tmp_path, capsys):
+    power = tmp_path / "power.csv"
+    power.write_text("timestamp, power.draw [W]\n" + "".join(
+        f"2021/03/01 10:00:{s:02d}.000, {0.0 if s % 4 == 1 else 150.0:.2f} W\n"
+        for s in range(12)
+    ))
+    capsys.readouterr()
+    assert main(["ingest", "--power", str(power),
+                 "--meta", str(workflow / "run0.meta.json"),
+                 "--profile", str(next(workflow.glob("*.profile.json"))),
+                 "--out", str(tmp_path / "sample.json")]) == 0
+    out = capsys.readouterr().out
+    assert "150.00 W" in out and "(3 0 W rows dropped)" in out
 
 
 @pytest.mark.parametrize(

@@ -171,12 +171,13 @@ def test_gradient_check_random_architectures(input_dim, hidden, seed):
     assert gradient_check(m, x, y) <= 1e-5
 
 
-def test_zero_learning_rate_leaves_weights_unchanged():
-    ds = _linear_dataset()
-    m = init_model(5, [4], seed=1)
-    trained, _ = train(m, ds, TrainConfig(lr=0.0, epochs=50, patience=1000))
-    for before, after in zip(m.weights, trained.weights):
-        np.testing.assert_array_equal(before, after)
+@pytest.mark.parametrize(
+    "lr", [0.0, -0.01, float("nan"), float("inf")], ids=["0.0", "-0.01", "nan", "inf"]
+)
+def test_train_rejects_bad_learning_rate(lr):
+    with pytest.raises(WattrankError, match="learning rate"):
+        train(init_model(5, [4], seed=1), _linear_dataset(),
+              TrainConfig(lr=lr, epochs=50, patience=1000))
 
 
 def test_training_is_deterministic():

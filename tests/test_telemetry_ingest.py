@@ -1,5 +1,7 @@
+from datetime import datetime
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wattrank.device_catalog import DeviceSpec
@@ -13,6 +15,7 @@ from wattrank.telemetry_ingest import (
     PowerTrace,
     RunMeta,
     UnparsableValue,
+    _parse_timestamp,
     build_run_record,
     mean_power,
     parse_power_csv_text,
@@ -58,6 +61,12 @@ def test_empty_data_section():
         parse_power_csv_text(HEADER)
 
 
+def test_blank_rows_are_skipped():
+    trace = parse_power_csv_text(HEADER + "a, 100.0 W\n\n , \t\n,\nb, 110.0 W\n")
+    assert _watts(trace) == [100.0, 110.0]
+    assert trace.zero_w_dropped == 0
+
+
 def test_unparsable_value_reports_row():
     with pytest.raises(UnparsableValue) as excinfo:
         parse_power_csv_text(HEADER + "a, 100.0 W\nb, oops W\n")
@@ -74,6 +83,86 @@ def test_zero_watt_glitches_dropped():
     assert _watts(trace) == [100.0, 120.0]
     with pytest.raises(EmptyTrace):
         parse_power_csv_text(HEADER + "a, 0.0 W\n")
+
+
+def test_zero_watt_rows_are_counted():
+    watts = [0.0 if i in (0, 5, 6, 19) else 100.0 + i for i in range(20)]
+    text = HEADER + "".join(f"2021/03/01 10:00:{i:02d}, {w:.2f} W\n" for i, w in enumerate(watts))
+    trace = parse_power_csv_text(text)
+    assert trace.zero_w_dropped == 4
+    assert _watts(trace) == [w for w in watts if w]
+    assert parse_power_csv_text(HEADER + "a, 100.0 W\n").zero_w_dropped == 0
+    again = parse_power_csv_text(trace_to_csv(trace))
+    assert again.samples == trace.samples and again.zero_w_dropped == 0
+
+
+def _timestamp_oracle(raw: str) -> float | None:
+    """``_parse_timestamp`` as it was before its nvidia-smi fast path."""
+    raw = raw.strip()
+    try:
+        return float(raw)
+    except ValueError:
+        pass
+    for fmt in ("%Y/%m/%d %H:%M:%S.%f", "%Y/%m/%d %H:%M:%S"):
+        try:
+            return datetime.strptime(raw, fmt).timestamp()
+        except ValueError:
+            continue
+    try:
+        return datetime.fromisoformat(raw).timestamp()
+    except ValueError:
+        return None
+
+
+@st.composite
+def _timestamp_like(draw):
+    """Near misses of nvidia-smi's ``YYYY/MM/DD HH:MM:SS.fff`` as well as hits."""
+
+    def number(low, high, widths=(1, 2, 2)):
+        return f"{draw(st.integers(low, high)):0{draw(st.sampled_from(widths))}d}"
+
+    sep = draw(st.sampled_from("//-"))
+    year = number(1900, 2100, widths=(4, 4, 4, 5))
+    if draw(st.integers(0, 9)) == 0:  # ISO week date
+        date = f"{year}{sep}W{number(0, 54, widths=(2,))}{sep}{number(0, 8, widths=(1,))}"
+    else:
+        date = f"{year}{sep}{number(0, 13)}{sep}{number(0, 32)}"
+    clock = ":".join(number(0, high) for high in (24, 60, 61)[: draw(st.integers(0, 3))])
+    fraction = draw(st.sampled_from(["", "", ".", ","])) + draw(
+        st.text("0123456789", max_size=7)
+    )
+    text = date
+    if clock:
+        text += draw(st.sampled_from([" ", " ", "T", "  ", "\t"])) + clock + fraction
+    text += draw(st.sampled_from(["", "", "", "Z", "+01:00", "-0530", " UTC"]))
+    if draw(st.integers(0, 4)) == 0:  # one digit as Arabic-Indic or fullwidth
+        i = draw(st.sampled_from([i for i, ch in enumerate(text) if ch.isdigit()]))
+        text = text[:i] + chr(draw(st.sampled_from([0x0660, 0xFF10])) + int(text[i])) + text[i + 1 :]
+    pad = st.sampled_from(["", "", " ", "\t", "\u3000", "\n "])
+    return draw(pad) + text + draw(pad)
+
+
+@given(
+    _timestamp_like()
+    | st.integers(0, 10**10).map(str)
+    | st.floats().map(repr)
+    | st.text(max_size=30)
+)
+@example("2021/03/01 10:00:05.123")
+@example("2021/03/01 10:00:05")
+@example("2021/3/1 1:02:03.5")
+@example("2021/03/01 10:00:05.1234567")
+@example("2021/W09/1")
+@example("2021/03/01T10")
+@example("2021/13/01 10:00:00")
+@example("2021/03/01 24:00:00")
+@example("2021/03/01 10:00:60")
+@example("20210301")
+@settings(max_examples=500)
+def test_timestamps_match_the_strptime_oracle(raw):
+    """Every string reads as it did before the fast path: the same float or
+    ``None`` (compared by repr, so NaN matches NaN)."""
+    assert repr(_parse_timestamp(raw)) == repr(_timestamp_oracle(raw))
 
 
 def test_nvidia_smi_timestamps_parsed():
