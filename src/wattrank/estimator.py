@@ -5,10 +5,10 @@ counts + device features) to standardized (power, performance).  Hidden
 layers use ReLU, the output layer is linear, and the default shape is
 [d, 2d, d, 2].  Training is deterministic full-batch gradient descent on
 the mean-squared error over both outputs, with early stopping on the
-validation loss.  The ridge baseline is the same model with no hidden
-layer, solved in closed form.  Everything is plain numpy in double
-precision so that backpropagation can be verified against central finite
-differences.
+validation loss, over one vector of all weights and biases.  The ridge
+baseline is the same model with no hidden layer, solved in closed form.
+Everything is plain numpy in double precision so that backpropagation can
+be verified against central finite differences.
 """
 
 from __future__ import annotations
@@ -135,27 +135,33 @@ def forward(m: MlpModel, x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def _loss(
-    weights: list[np.ndarray], biases: list[np.ndarray], X: np.ndarray, Y: np.ndarray
-) -> float:
-    return float(np.mean((_layers(weights, biases, X)[-1] - Y) ** 2))
+def _unflatten(flat: np.ndarray, dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views into ``flat``: each layer's weights, then its biases."""
+    shapes = [s for i, o in zip(dims, dims[1:]) for s in ((o, i), (o,))]
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    views = [v.reshape(s) for v, s in zip(np.split(flat, ends[:-1]), shapes)]
+    return views[0::2], views[1::2]
 
 
-def _loss_and_grads(weights, biases, X, Y):
-    """MSE over all outputs plus its gradient w.r.t. every weight and bias."""
-    acts = _layers(weights, biases, X)
-    resid = acts[-1] - Y
-    loss = float(np.mean(resid**2))
+def _mse(resid: np.ndarray) -> float:
+    """``np.mean(resid**2)``, without its wrapper."""
+    return float(np.add.reduce(np.square(resid), axis=None) / resid.size)
 
-    delta = 2.0 * resid / resid.size
-    grad_w = [np.empty(0)] * len(weights)
-    grad_b = [np.empty(0)] * len(weights)
+
+def _loss_and_grads(weights, acts, Y, grad_w, grad_b) -> float:
+    """MSE of ``acts[-1]`` against ``Y``, where ``acts`` is what
+    :func:`_layers` returned; its gradient w.r.t. every weight and bias is
+    written into the arrays of ``grad_w`` and ``grad_b``."""
+    delta = acts[-1] - Y
+    loss = _mse(delta)
+    delta /= delta.size / 2  # rounds 2x/n once, like (2.0 * x) / n: doubling is exact
     for k in range(len(weights) - 1, -1, -1):
-        grad_w[k] = delta.T @ acts[k]
-        grad_b[k] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[k], out=grad_w[k])
+        np.add.reduce(delta, axis=0, out=grad_b[k])
         if k > 0:
-            delta = (delta @ weights[k]) * (acts[k] > 0)  # ReLU': a > 0 iff z > 0
-    return loss, grad_w, grad_b
+            delta = delta @ weights[k]
+            delta *= acts[k] > 0  # ReLU': a > 0 iff z > 0
+    return loss
 
 
 def design_matrices(
@@ -176,14 +182,16 @@ def train(
 ) -> tuple[MlpModel, TrainHistory]:
     """Full-batch gradient descent with early stopping.
 
-    The returned model holds the weights of the best validation epoch and
-    the dataset's normalization statistics.  Raises :class:`WattrankError`
-    when ``config.epochs`` is below 1 or ``config.lr`` is not a finite
-    positive number, and :class:`DivergenceDetected` when the train loss
-    stops being finite (learning rate too high).
+    One flat vector holds the weights and biases, another their gradients;
+    the results are bit for bit those of per-layer arrays.  The returned
+    model holds the weights of the best validation epoch and the dataset's
+    normalization statistics.  Raises :class:`WattrankError` when
+    ``config.epochs`` or ``config.patience`` is below 1 or ``config.lr`` is
+    not a finite positive number, and :class:`DivergenceDetected` when the
+    train loss stops being finite (learning rate too high).
     """
-    if config.epochs < 1:
-        raise WattrankError(f"training needs at least 1 epoch, got {config.epochs}")
+    if min(config.epochs, config.patience) < 1:
+        raise WattrankError(f"epochs and patience must be at least 1, got {config}")
     if not (math.isfinite(config.lr) and config.lr > 0):
         raise WattrankError(f"learning rate must be finite and > 0, got {config.lr}")
     X_tr, Y_tr = design_matrices(ds, ds.train_indices)
@@ -193,28 +201,33 @@ def train(
             f"dataset provides {X_tr.shape[1]} features, model expects {m.layer_dims[0]}"
         )
 
-    weights = [w.copy() for w in m.weights]
-    biases = [b.copy() for b in m.biases]
+    params = np.concatenate([a.ravel() for pair in zip(m.weights, m.biases) for a in pair])
+    weights, biases = _unflatten(params, m.layer_dims)
+    grads = np.empty_like(params)
+    grad_w, grad_b = _unflatten(grads, m.layer_dims)
+    best = params.copy()
     best_val = math.inf
-    best_snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
     best_epoch = -1
     stale = 0
     train_hist: list[float] = []
     val_hist: list[float] = []
 
     for epoch in range(config.epochs):
-        train_loss, grad_w, grad_b = _loss_and_grads(weights, biases, X_tr, Y_tr)
+        acts = _layers(weights, biases, X_tr)
+        train_loss = _loss_and_grads(weights, acts, Y_tr, grad_w, grad_b)
         if not math.isfinite(train_loss):
             raise DivergenceDetected(
                 f"train loss became non-finite at epoch {epoch}; lower the lr"
             )
-        val_loss = _loss(weights, biases, X_val, Y_val)
+        # Not stacked under the train rows: numpy multiplies a one-row
+        # matrix with gemv, whose sums round unlike gemm's.
+        val_loss = _mse(_layers(weights, biases, X_val)[-1] - Y_val)
         train_hist.append(train_loss)
         val_hist.append(val_loss)
 
         if val_loss < best_val:
             best_val = val_loss
-            best_snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
+            np.copyto(best, params)
             best_epoch = epoch
             stale = 0
         else:
@@ -222,14 +235,13 @@ def train(
             if stale >= config.patience:
                 break
 
-        for k in range(len(weights)):
-            weights[k] -= config.lr * grad_w[k]
-            biases[k] -= config.lr * grad_b[k]
+        params -= config.lr * grads
 
+    best_weights, best_biases = _unflatten(best, m.layer_dims)
     trained = replace(
         m,
-        weights=best_snapshot[0],
-        biases=best_snapshot[1],
+        weights=best_weights,
+        biases=best_biases,
         norm=ds.norm,
         epochs_trained=len(train_hist),
     )
@@ -249,7 +261,9 @@ def gradient_check(m: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     """
     X = np.atleast_2d(np.asarray(x, dtype=float))
     Y = np.atleast_2d(np.asarray(y, dtype=float))
-    _, grad_w, grad_b = _loss_and_grads(m.weights, m.biases, X, Y)
+    grad_w = [np.empty_like(w) for w in m.weights]
+    grad_b = [np.empty_like(b) for b in m.biases]
+    _loss_and_grads(m.weights, _layers(m.weights, m.biases, X), Y, grad_w, grad_b)
     X, Y = X.astype(np.longdouble), Y.astype(np.longdouble)
     weights = [w.astype(np.longdouble) for w in m.weights]
     biases = [b.astype(np.longdouble) for b in m.biases]
@@ -262,7 +276,7 @@ def gradient_check(m: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     for arrays, grads in ((weights, grad_w), (biases, grad_b)):
         for arr, grad in zip(arrays, grads):
             flat = arr.reshape(-1)
-            grad_flat = np.asarray(grad).reshape(-1)
+            grad_flat = grad.reshape(-1)
             for i in range(flat.size):
                 original = flat[i]
                 flat[i] = original + h

@@ -131,7 +131,8 @@ def _parse_watts(raw: str, row: int) -> float:
 def parse_power_csv_text(text: str) -> PowerTrace:
     """A row without a parsable timestamp is stamped with its sample index
     times :data:`SAMPLE_INTERVAL_S`.  Rows that read exactly 0 W are dropped
-    and counted in :attr:`PowerTrace.zero_w_dropped`."""
+    and counted in :attr:`PowerTrace.zero_w_dropped`.  A timestamp that is
+    not finite or decreases raises :class:`UnparsableValue`."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -167,8 +168,8 @@ def parse_power_csv_text(text: str) -> PowerTrace:
             timestamp = _parse_timestamp(row[time_col])
         if timestamp is None:
             timestamp = float(len(samples)) * SAMPLE_INTERVAL_S
-        if timestamp < last_ts:
-            raise UnparsableValue(row_number, "timestamps decrease")
+        if not (math.isfinite(timestamp) and timestamp >= last_ts):
+            raise UnparsableValue(row_number, f"timestamp {timestamp} is not finite or fell")
         last_ts = timestamp
         samples.append((timestamp, watts))
 

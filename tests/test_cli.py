@@ -163,9 +163,11 @@ def test_train_with_feature_selection(workflow, tmp_path, capsys):
     "flags",
     [["--select-threshold", "1.5"], ["--select-threshold", "nan"], ["--hidden", "-3"],
      ["--hidden", "0"], ["--epochs", "0"], ["--epochs", "-5"], ["--lr", "0"],
-     ["--lr", "-0.01"], ["--lr", "nan"], ["--lr", "inf"]],
+     ["--lr", "-0.01"], ["--lr", "nan"], ["--lr", "inf"], ["--patience", "0"],
+     ["--patience", "-1"]],
     ids=["threshold-1.5", "threshold-nan", "hidden-negative", "hidden-zero",
-         "epochs-zero", "epochs-negative", "lr-zero", "lr-negative", "lr-nan", "lr-inf"],
+         "epochs-zero", "epochs-negative", "lr-zero", "lr-negative", "lr-nan", "lr-inf",
+         "patience-zero", "patience-negative"],
 )
 def test_train_rejects_bad_arguments(workflow, tmp_path, capsys, flags):
     prefix, out = tmp_path / "ds", tmp_path / "m.json"
@@ -247,6 +249,21 @@ def test_ingest_reports_dropped_zero_watt_rows(workflow, tmp_path, capsys):
                  "--out", str(tmp_path / "sample.json")]) == 0
     out = capsys.readouterr().out
     assert "150.00 W" in out and "(3 0 W rows dropped)" in out
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_ingest_of_non_finite_timestamp_exits_one(workflow, tmp_path, capsys, bad):
+    power = tmp_path / "power.csv"
+    power.write_text("timestamp, power.draw [W]\n5, 150.00 W\n"
+                     f"{bad}, 150.00 W\n3, 150.00 W\n")
+    capsys.readouterr()
+    assert main(["ingest", "--power", str(power),
+                 "--meta", str(workflow / "run0.meta.json"),
+                 "--profile", str(next(workflow.glob("*.profile.json"))),
+                 "--out", str(tmp_path / "sample.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row 3" in err and "Traceback" not in err
+    assert not (tmp_path / "sample.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 from dataclasses import replace
@@ -19,6 +20,7 @@ from wattrank.estimator import (
     TrainConfig,
     VersionMismatch,
     design_matrices,
+    _layers,
     _loss_and_grads,
     evaluate,
     fit_linear_baseline,
@@ -145,7 +147,8 @@ def test_linear_backprop_matches_analytic_formula():
     b = rng.normal(size=2)
     x = rng.normal(size=(1, 4))
     y = rng.normal(size=(1, 2))
-    _, grad_w, grad_b = _loss_and_grads([W], [b], x, y)
+    grad_w, grad_b = [np.empty_like(W)], [np.empty_like(b)]
+    _loss_and_grads([W], _layers([W], [b], x), y, grad_w, grad_b)
     resid = (x @ W.T + b) - y
     np.testing.assert_allclose(grad_w[0], 2.0 * resid.T @ x / resid.size, atol=1e-10)
     np.testing.assert_allclose(grad_b[0], (2.0 * resid / resid.size).sum(axis=0), atol=1e-10)
@@ -193,6 +196,168 @@ def test_divergence_detected():
     ds = _linear_dataset()
     with np.errstate(all="ignore"), pytest.raises(DivergenceDetected):
         train(init_model(5, [], seed=0), ds, TrainConfig(lr=50.0, epochs=500, patience=500))
+
+
+@pytest.mark.parametrize("patience", [0, -3])
+def test_train_rejects_patience_below_one(patience):
+    with pytest.raises(WattrankError, match="patience"):
+        train(init_model(5, [], seed=0), _linear_dataset(),
+              TrainConfig(epochs=50, patience=patience))
+
+
+def _oracle_layers(weights, biases, X):
+    """``_layers`` as the oracle loop called it, kept apart from the code
+    under test."""
+    acts = [X]
+    for W, b in zip(weights[:-1], biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ W.T + b, 0.0))
+    acts.append(acts[-1] @ weights[-1].T + biases[-1])
+    return acts
+
+
+def _oracle_train(m, ds, config):
+    """``train`` as it was before one parameter vector: per-layer arrays,
+    copies and updates, and ``np.mean`` for the losses."""
+
+    def loss_and_grads(weights, biases, X, Y):
+        acts = _oracle_layers(weights, biases, X)
+        resid = acts[-1] - Y
+        loss = float(np.mean(resid**2))
+        delta = 2.0 * resid / resid.size
+        grad_w = [np.empty(0)] * len(weights)
+        grad_b = [np.empty(0)] * len(weights)
+        for k in range(len(weights) - 1, -1, -1):
+            grad_w[k] = delta.T @ acts[k]
+            grad_b[k] = delta.sum(axis=0)
+            if k > 0:
+                delta = (delta @ weights[k]) * (acts[k] > 0)
+        return loss, grad_w, grad_b
+
+    X_tr, Y_tr = design_matrices(ds, ds.train_indices)
+    X_val, Y_val = design_matrices(ds, ds.val_indices)
+    weights = [w.copy() for w in m.weights]
+    biases = [b.copy() for b in m.biases]
+    best_val = np.inf
+    best_snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
+    best_epoch = -1
+    stale = 0
+    train_hist, val_hist = [], []
+    for epoch in range(config.epochs):
+        train_loss, grad_w, grad_b = loss_and_grads(weights, biases, X_tr, Y_tr)
+        if not np.isfinite(train_loss):
+            raise DivergenceDetected(
+                f"train loss became non-finite at epoch {epoch}; lower the lr"
+            )
+        val_loss = float(np.mean((_oracle_layers(weights, biases, X_val)[-1] - Y_val) ** 2))
+        train_hist.append(train_loss)
+        val_hist.append(val_loss)
+        if val_loss < best_val:
+            best_val = val_loss
+            best_snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
+            best_epoch = epoch
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+        for k in range(len(weights)):
+            weights[k] -= config.lr * grad_w[k]
+            biases[k] -= config.lr * grad_b[k]
+    return (*best_snapshot, len(train_hist)), (train_hist, val_hist, best_epoch)
+
+
+def _outcome(train_fn, m, ds, config):
+    with np.errstate(all="ignore"):
+        try:
+            return train_fn(m, ds, config)
+        except DivergenceDetected as exc:
+            return str(exc)
+
+
+@st.composite
+def _training_runs(draw):
+    """A dataset (some columns dropped by ``select_features``), a network
+    for it and a config whose patience is often short enough to stop early."""
+    if draw(st.integers(0, 5)) == 0:
+        ds = _default_synthetic_selected()
+    else:
+        ds = _linear_dataset(n=draw(st.integers(3, 150)), d=draw(st.integers(1, 16)),
+                             seed=draw(st.integers(0, 100)),
+                             noise=draw(st.sampled_from([0.0, 1.0, 30.0])))
+        workloads = draw(st.integers(2, 12))
+        if workloads < len(ds.samples) and draw(st.booleans()):  # a side may get one row
+            ds = assemble([replace(s, workload_id=f"w{i % workloads}")
+                           for i, s in enumerate(ds.samples)], seed=7, group_by_workload=True)
+        threshold = draw(st.sampled_from([None, 0.2, 0.6, 1.0]))
+        if threshold is not None:
+            ds = select_features(ds, threshold)
+    hidden = draw(st.sampled_from([None, [], [7]]) | st.lists(st.integers(1, 12), max_size=2))
+    m = init_model(ds.samples[0].features.shape[0], hidden, seed=draw(st.integers(0, 2**32 - 1)))
+    lr = draw(st.floats(1e-3, 0.3) | st.sampled_from([2.0, 50.0]))
+    config = TrainConfig(lr=lr, epochs=draw(st.integers(1, 150)),
+                         patience=draw(st.integers(1, 40)))
+    return m, ds, config
+
+
+@functools.cache
+def _default_synthetic_selected():
+    """The default synthetic dataset with the columns of correlation below
+    0.5 dropped: std 0 in its statistics."""
+    samples = synthetic.ingest_experiment(synthetic.generate(synthetic.SyntheticConfig()))
+    return select_features(assemble(samples, seed=42), 0.5)
+
+
+def _assert_trains_like_the_oracle(m, ds, config):
+    got = _outcome(train, m, ds, config)
+    want = _outcome(_oracle_train, m, ds, config)
+    if isinstance(want, str):
+        assert got == want  # diverged at the same epoch
+        return
+    assert not isinstance(got, str), got
+    (weights, biases, epochs_trained), (train_mse, val_mse, best_epoch) = want
+    model, history = got
+    assert _bits(model.weights) == _bits(weights) and _bits(model.biases) == _bits(biases)
+    assert _bits([history.train_mse, history.val_mse]) == _bits([train_mse, val_mse])
+    assert (history.best_epoch, model.epochs_trained) == (best_epoch, epochs_trained)
+
+
+def _bits(arrays):
+    """Shape and bytes of each array: stricter than ``np.array_equal``,
+    which takes -0.0 for 0.0 and never matches NaN."""
+    return [(np.shape(a), np.asarray(a, dtype=float).tobytes()) for a in arrays]
+
+
+@given(_training_runs())
+@settings(max_examples=40, deadline=None)
+# One val row: numpy multiplies it by gemv, not gemm, so it must not be
+# stacked under the train rows.
+@example((init_model(2, [4], seed=0), _linear_dataset(n=3, d=2, seed=1),
+          TrainConfig(lr=0.1, epochs=50, patience=50)))
+def test_training_matches_the_per_layer_oracle(run):
+    """Bit for bit the weights, biases and history of the per-layer loop,
+    including the epoch it diverges at."""
+    _assert_trains_like_the_oracle(*run)
+
+
+@pytest.mark.parametrize(
+    "hidden,lr,epochs,patience,stops",
+    [(None, 0.01, 400, 200, False), ([7], 0.3, 300, 5, True), ([], 0.25, 300, 3, True),
+     ([], 50.0, 100, 100, None)],
+    ids=["default-shape", "one-hidden-early-stop", "linear-early-stop", "diverges"],
+)
+def test_training_matches_the_oracle_on_the_default_selected_dataset(
+    hidden, lr, epochs, patience, stops
+):
+    ds = _default_synthetic_selected()
+    assert (ds.norm.feature_stds == 0).any()
+    m = init_model(14, hidden, seed=3)
+    config = TrainConfig(lr=lr, epochs=epochs, patience=patience)
+    _assert_trains_like_the_oracle(m, ds, config)
+    got = _outcome(train, m, ds, config)
+    if stops is None:
+        assert isinstance(got, str) and "non-finite" in got
+    else:
+        assert (got[0].epochs_trained < epochs) is stops
 
 
 def _power_iteration_lmax(M, iters=500):

@@ -179,6 +179,29 @@ def test_index_fallback_without_timestamp_column():
     assert [ts for ts, _ in trace.samples] == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", " +Infinity"])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_non_finite_timestamps_rejected(bad, position):
+    stamps = ["5", "6", "7"]
+    stamps[position] = bad
+    text = HEADER + "".join(f"{ts}, 100.0 W\n" for ts in stamps)
+    with pytest.raises(UnparsableValue, match=r"timestamp [-a-z]+ is not finite") as excinfo:
+        parse_power_csv_text(text)
+    assert excinfo.value.row == position + 2
+
+
+def test_decreasing_timestamps_rejected():
+    with pytest.raises(UnparsableValue, match="timestamp 3.0 is not finite or fell") as excinfo:
+        parse_power_csv_text(HEADER + "5, 100.0 W\n6, 100.0 W\n3, 100.0 W\n")
+    assert excinfo.value.row == 4
+    # a NaN between 5 and 3 used to hide the decrease
+    with pytest.raises(UnparsableValue) as excinfo:
+        parse_power_csv_text(HEADER + "5, 100.0 W\nnan, 100.0 W\n3, 100.0 W\n")
+    assert excinfo.value.row == 3
+    trace = parse_power_csv_text(HEADER + "-1e308, 100.0 W\n-1e308, 90.0 W\n2, 80.0 W\n")
+    assert [ts for ts, _ in trace.samples] == [-1e308, -1e308, 2.0]
+
+
 def test_serialization_round_trip():
     trace = parse_power_csv_text(HEADER + "1.5, 100.25 W\n2.5, 110.125 W\n")
     again = parse_power_csv_text(trace_to_csv(trace))
