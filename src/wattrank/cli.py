@@ -53,14 +53,7 @@ def _cmd_devices_list(args) -> int:
 
 def _cmd_devices_add(args) -> int:
     base = _load_catalog_arg(args.catalog)
-    extra = device_catalog.load_catalog(args.file)
-    merged = list(base)
-    seen = {d.name for d in merged}
-    for spec in extra:
-        if spec.name in seen:
-            raise device_catalog.DuplicateName(spec.name)
-        seen.add(spec.name)
-        merged.append(spec)
+    merged = device_catalog.unique_names([*base, *device_catalog.load_catalog(args.file)])
     out = args.out or args.catalog
     if out is None:
         raise WattrankError(
@@ -253,10 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     except AllDevicesExcluded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except WattrankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (WattrankError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ import numpy as np
 from .device_catalog import DEVICE_FEATURE_NAMES, DeviceSpec, device_to_features
 from .errors import WattrankError
 from .instruction_profiler import CLASS_ORDER, InstructionProfile, profile_to_features
+from .json_types import json_numbers, json_value
 from .telemetry_ingest import RunRecord, UnparsableValue
 
 
@@ -45,30 +46,6 @@ def feature_vector(profile: InstructionProfile, device: DeviceSpec) -> np.ndarra
     """One row's 14 features, in :func:`feature_names` order: the raw class
     counts, then the device features."""
     return np.concatenate([profile_to_features(profile), device_to_features(device)])
-
-
-def json_number(value) -> float:
-    """``value`` as a float; raises ``TypeError`` unless it is a JSON number
-    (not a string, a boolean or null) and ``ValueError`` if no float holds it."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ValueError(f"number out of range: {value!r}") from exc
-
-
-def json_numbers(value) -> np.ndarray:
-    """A JSON list (nested or not) of numbers as a float array, with the
-    errors of :func:`json_number`; a ragged list raises ``TypeError`` too."""
-    cells = np.asarray(value, dtype=object)
-    if not set(map(type, cells.flat)) <= {int, float}:
-        bad = next(x for x in cells.flat if type(x) not in (int, float))
-        raise TypeError(f"expected a number, got {bad!r}")
-    try:
-        return cells.astype(float)
-    except OverflowError as exc:
-        raise ValueError("a number in the list is out of range") from exc
 
 
 def _column_names(width: int) -> list[str]:
@@ -117,23 +94,18 @@ def sample_from_json(text: str) -> LabeledSample:
     """Parse one sample; rejects anything but string ids and 14 finite
     features and targets, all JSON numbers."""
     try:
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise TypeError(f"expected an object, got {type(doc).__name__}")
+        doc = json_value(json.loads(text), dict)
         names = doc.get("feature_names")
         if names is not None and list(names) != feature_names():
             raise InconsistentFeatureLength(
                 f"sample feature ordering {names} does not match the contract"
             )
-        workload_id, device_name = doc["workload_id"], doc["device_name"]
-        if type(workload_id) is not str or type(device_name) is not str:
-            raise TypeError("workload_id and device_name must be strings")
         sample = LabeledSample(
-            workload_id=workload_id,
-            device_name=device_name,
+            workload_id=json_value(doc["workload_id"], str),
+            device_name=json_value(doc["device_name"], str),
             features=json_numbers(doc["features"]),
-            power_w=json_number(doc["power_w"]),
-            perf_ips=json_number(doc["perf_ips"]),
+            power_w=json_value(doc["power_w"], float),
+            perf_ips=json_value(doc["perf_ips"], float),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InconsistentFeatureLength(f"bad sample JSON: {exc}") from exc
@@ -183,8 +155,16 @@ class NormStats:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NormStats":
-        """Inverse of :meth:`to_dict`; every stat must be a list of JSON numbers."""
-        return cls(**{f.name: json_numbers(doc[f.name]) for f in fields(cls)})
+        """Inverse of :meth:`to_dict`.  Every stat must be an array of JSON
+        numbers (else ``TypeError``), and the four must be finite stats of
+        some ``n`` features and 2 targets (else ``ValueError``)."""
+        stats = [json_numbers(doc[f.name]) for f in fields(cls)]
+        n = stats[0].size
+        if [a.shape for a in stats] != [(n,), (n,), (2,), (2,)]:
+            raise ValueError(f"norm_stats are not stats of {n} features and 2 targets")
+        if not all(np.isfinite(a).all() for a in stats):
+            raise ValueError("norm_stats has a non-finite value")
+        return cls(*stats)
 
 
 @dataclass(frozen=True)
@@ -379,27 +359,20 @@ def load_dataset(prefix) -> TrainingDataset:
     try:
         with open(json_path, encoding="utf-8") as fh:
             sidecar = json.load(fh)  # JSONDecodeError is a ValueError
-        train_idx, val_idx, seed = (
-            sidecar["train_indices"], sidecar["val_indices"], sidecar["seed"]
-        )
-        indices = [*train_idx, *val_idx]
+        train_idx, val_idx = sidecar["train_indices"], sidecar["val_indices"]
+        indices = [json_value(i, int) for i in (*train_idx, *val_idx)]
+        seed = json_value(sidecar["seed"], int)
         norm = NormStats.from_dict(sidecar["norm_stats"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptDataset(f"{json_path}: not a dataset sidecar: {exc!r}") from exc
     n, width = len(samples), len(header) - 4
-    if not (train_idx and val_idx and all(type(i) is int for i in indices)
-            and sorted(indices) == list(range(n))):
+    if not (train_idx and val_idx and sorted(indices) == list(range(n))):
         raise CorruptDataset(
             f"{json_path}: train_indices and val_indices do not split {n} rows"
         )
-    stats = [getattr(norm, f.name) for f in fields(norm)]  # features, then targets
-    if [a.shape for a in stats] != [(width,), (width,), (2,), (2,)] or not all(
-        np.isfinite(a).all() for a in stats
-    ):
+    if norm.feature_means.size != width:
         raise CorruptDataset(
-            f"{json_path}: norm_stats are not finite stats of {width} features "
-            "and 2 targets"
+            f"{json_path}: norm_stats cover {norm.feature_means.size} features, "
+            f"the CSV has {width}"
         )
-    if type(seed) is not int:
-        raise CorruptDataset(f"{json_path}: seed {seed!r} is not an integer")
     return TrainingDataset(samples, train_idx, val_idx, norm, seed)

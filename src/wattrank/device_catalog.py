@@ -10,12 +10,15 @@ as an optional sanity bound for measured power, not as a model feature.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from importlib import resources
+from typing import Iterable
 
 import numpy as np
 
 from .errors import WattrankError
+from .json_types import json_value
 
 
 class SchemaError(WattrankError):
@@ -45,66 +48,73 @@ class DeviceSpec:
     provenance: str | None = None
 
 
-_STR_FIELDS = ("name", "architecture")
-_INT_FIELDS = ("sm_count", "fp32_cores", "l2_cache_kib")
-_FLOAT_FIELDS = ("core_clock_mhz", "memory_clock_mhz", "memory_bandwidth_gbps")
-_OPTIONAL_FIELDS = ("tdp_watts", "provenance")
-_ALL_FIELDS = _STR_FIELDS + _INT_FIELDS + _FLOAT_FIELDS + _OPTIONAL_FIELDS
+#: Each record field and its JSON kind (see :mod:`wattrank.json_types`), in
+#: :class:`DeviceSpec` order.
+_FIELD_KINDS = {
+    "name": str, "architecture": str,
+    "sm_count": int, "fp32_cores": int, "l2_cache_kib": int,
+    "core_clock_mhz": float, "memory_clock_mhz": float, "memory_bandwidth_gbps": float,
+    "tdp_watts": float, "provenance": str,
+}
+_OPTIONAL_FIELDS = ("tdp_watts", "provenance")  # may be absent or null
 
 #: The required numeric fields, in this order, are the device features; part
 #: of the on-disk dataset contract.
-DEVICE_FEATURE_NAMES = [*_INT_FIELDS, *_FLOAT_FIELDS]
+DEVICE_FEATURE_NAMES = [
+    f for f, kind in _FIELD_KINDS.items() if kind is not str and f not in _OPTIONAL_FIELDS
+]
 
 
-def _validate_record(raw: dict, label: str) -> DeviceSpec:
+def _field_value(raw: dict, field: str, label: str):
+    """``raw[field]`` read by its kind: a name must be non-empty, a number
+    positive and finite as a float."""
+    value, kind = raw.get(field), _FIELD_KINDS[field]
+    if value is None and field in _OPTIONAL_FIELDS:
+        return None
+    try:
+        value = json_value(value, kind)
+        if kind is str:
+            valid = value != "" or field == "provenance"
+        else:
+            valid = 0 < json_value(value, float) < math.inf
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise SchemaError(field, label)
+    return value
+
+
+def _validate_record(raw, index: int) -> DeviceSpec:
+    try:
+        raw = json_value(raw, dict)
+    except TypeError:
+        raise SchemaError("<record>", f"#{index}") from None
+    label = str(raw.get("name", f"#{index}"))
     for key in raw:
-        if key not in _ALL_FIELDS:
+        if key not in _FIELD_KINDS:
             raise SchemaError(key, label)
-    for field in _STR_FIELDS:
-        if not isinstance(raw.get(field), str) or not raw[field]:
-            raise SchemaError(field, label)
-    for field in _INT_FIELDS:
-        value = raw.get(field)
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-            raise SchemaError(field, label)
-    for field in _FLOAT_FIELDS:
-        value = raw.get(field)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            raise SchemaError(field, label)
-    tdp = raw.get("tdp_watts")
-    if tdp is not None and (
-        not isinstance(tdp, (int, float)) or isinstance(tdp, bool) or tdp <= 0
-    ):
-        raise SchemaError("tdp_watts", label)
-    provenance = raw.get("provenance")
-    if provenance is not None and not isinstance(provenance, str):
-        raise SchemaError("provenance", label)
-    values = {field: raw.get(field) for field in _ALL_FIELDS}
-    for field in _FLOAT_FIELDS + ("tdp_watts",):
-        if values[field] is not None:
-            values[field] = float(values[field])
-    return DeviceSpec(**values)
+    return DeviceSpec(**{field: _field_value(raw, field, label) for field in _FIELD_KINDS})
+
+
+def unique_names(specs: Iterable[DeviceSpec]) -> list[DeviceSpec]:
+    """``specs`` in order; raises :class:`DuplicateName` at the first name
+    seen twice."""
+    by_name: dict[str, DeviceSpec] = {}
+    for spec in specs:
+        if spec.name in by_name:
+            raise DuplicateName(spec.name)
+        by_name[spec.name] = spec
+    return list(by_name.values())
 
 
 def parse_catalog(text: str) -> list[DeviceSpec]:
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json_value(json.loads(text), list)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise SchemaError("<json>", f"<parse error: {exc}>") from exc
-    if not isinstance(raw, list):
-        raise SchemaError("<root>", "<catalog must be a JSON array>")
-    specs: list[DeviceSpec] = []
-    seen: set[str] = set()
-    for index, record in enumerate(raw):
-        label = record.get("name", f"#{index}") if isinstance(record, dict) else f"#{index}"
-        if not isinstance(record, dict):
-            raise SchemaError("<record>", label)
-        spec = _validate_record(record, str(label))
-        if spec.name in seen:
-            raise DuplicateName(spec.name)
-        seen.add(spec.name)
-        specs.append(spec)
-    return specs
+    except TypeError:
+        raise SchemaError("<root>", "<catalog must be a JSON array>") from None
+    return unique_names(_validate_record(record, index) for index, record in enumerate(raw))
 
 
 def load_catalog(path) -> list[DeviceSpec]:

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset_builder import NormStats, TrainingDataset, feature_vector, json_numbers
+from .dataset_builder import NormStats, TrainingDataset, feature_vector
 from .device_catalog import DeviceSpec
 from .errors import WattrankError
 from .instruction_profiler import InstructionProfile
+from .json_types import json_numbers, json_value
 
 MODEL_FILE_VERSION = 1
 RIDGE_PENALTY = 1e-6  # keeps the ridge normal equations solvable
@@ -382,10 +383,10 @@ def load_model(path) -> MlpModel:
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            doc = json_value(json.load(fh), dict)  # decode errors are ValueErrors
+    except (TypeError, ValueError) as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or "version" not in doc:
+    if "version" not in doc:
         raise CorruptFile(f"{path}: missing version field")
     if doc["version"] != MODEL_FILE_VERSION:
         raise VersionMismatch(
@@ -394,22 +395,15 @@ def load_model(path) -> MlpModel:
     if doc.get("feature_mask") is not None:
         raise CorruptFile(f"{path}: models no longer carry a feature_mask; retrain it")
     try:
-        dims = doc["layer_dims"]
-        seed = doc["seed"]
-        epochs_trained = doc.get("epochs_trained", 0)
-        if not isinstance(dims, list) or any(
-            type(v) is not int for v in (*dims, seed, epochs_trained)
-        ):
-            raise TypeError("layer_dims, seed and epochs_trained must be JSON integers")
+        dims = [json_value(d, int) for d in json_value(doc["layer_dims"], list)]
+        seed = json_value(doc["seed"], int)
+        epochs_trained = json_value(doc.get("epochs_trained", 0), int)
         weights = [json_numbers(w) for w in doc["weights"]]
         biases = [json_numbers(b) for b in doc["biases"]]
         norm = NormStats.from_dict(doc["norm_stats"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
-    stats = [getattr(norm, f.name) for f in fields(norm)]  # features, then targets
-    n = stats[0].size
-    if [a.shape for a in stats] != [(n,), (n,), (2,), (2,)]:
-        raise CorruptFile(f"{path}: norm_stats are not stats of {n} features and 2 targets")
+    n = norm.feature_means.size
     if len(dims) < 2 or dims[0] != n or dims[-1] != 2:
         raise CorruptFile(f"{path}: layer_dims {dims} do not map {n} features to 2 outputs")
     expected = list(zip(dims[1:], dims[:-1]))
@@ -417,8 +411,8 @@ def load_model(path) -> MlpModel:
         b.shape for b in biases
     ] != [(d,) for d in dims[1:]]:
         raise CorruptFile(f"{path}: weight shapes do not chain with layer_dims")
-    if not all(np.isfinite(a).all() for a in (*weights, *biases, *stats)):
-        raise CorruptFile(f"{path}: non-finite weight, bias or stat")
+    if not all(np.isfinite(a).all() for a in (*weights, *biases)):
+        raise CorruptFile(f"{path}: non-finite weight or bias")
     return MlpModel(
         layer_dims=tuple(dims), weights=weights, biases=biases, norm=norm, seed=seed,
         epochs_trained=epochs_trained,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WattrankError
+from .json_types import json_value
 from .ptx_parser import PtxDocument
 
 
@@ -102,30 +103,20 @@ def profile_to_json(p: InstructionProfile) -> str:
 
 def profile_from_json(text: str) -> InstructionProfile:
     """Inverse of :func:`profile_to_json`; validates the count invariant."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidProfile(f"not valid JSON: {exc}") from exc
-    try:
-        workload_id = doc["workload_id"]
-        raw_counts = doc["counts"]
-        total = doc["total"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidProfile(f"missing field: {exc}") from exc
-    if type(workload_id) is not str:
-        raise InvalidProfile(f"workload_id must be a string, got {workload_id!r}")
-    if not isinstance(raw_counts, dict):
-        raise InvalidProfile(f"counts must be an object, got {raw_counts!r}")
-    if type(total) is not int:
-        raise InvalidProfile(f"total must be an integer, got {total!r}")
     by_value = {cls.value: cls for cls in InstructionClass}
     counts = {cls: 0 for cls in CLASS_ORDER}
-    for key, value in raw_counts.items():
-        if key not in by_value:
-            raise InvalidProfile(f"unknown instruction class {key!r}")
-        if type(value) is not int or value < 0:
-            raise InvalidProfile(f"bad count for {key!r}: {value!r}")
-        counts[by_value[key]] = value
+    try:
+        doc = json_value(json.loads(text), dict)  # JSONDecodeError is a ValueError
+        workload_id = json_value(doc["workload_id"], str)
+        total = json_value(doc["total"], int)
+        for key, value in json_value(doc["counts"], dict).items():
+            if key not in by_value:
+                raise InvalidProfile(f"unknown instruction class {key!r}")
+            if json_value(value, int) < 0:
+                raise InvalidProfile(f"bad count for {key!r}: {value!r}")
+            counts[by_value[key]] = value
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidProfile(f"bad profile JSON: {exc}") from exc
     if sum(counts.values()) != total:
         raise InvalidProfile(
             f"counts sum to {sum(counts.values())}, header says {total}"

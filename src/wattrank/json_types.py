@@ -1,0 +1,44 @@
+"""The JSON type rule that every loader reads its fields by.
+
+``json.loads`` gives a JSON string as ``str``, an integer as ``int``, any
+other number as ``float``, an array as ``list``, an object as ``dict`` and
+``true``/``false`` as ``bool``.  A field of kind ``str``, ``int``, ``list``
+or ``dict`` must have exactly that type, so a boolean is never an integer.
+A field of kind ``float`` may be any JSON number (not a boolean or a numeric
+string) and is returned as a float; a number that no float can hold raises
+``ValueError``, any other mismatch ``TypeError``.  Each loader turns both
+into its own :class:`~wattrank.errors.WattrankError` and checks the values.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+_NUMBER_TYPES = {int, float}
+_NOUNS = {str: "a string", int: "an integer", float: "a number", list: "an array",
+          dict: "an object"}
+
+
+def json_value(value, kind: type):
+    """``value`` as a JSON value of ``kind`` (see the module docstring)."""
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ValueError(f"number out of range: {value!r}") from exc
+    raise TypeError(f"expected {_NOUNS[kind]}, got {value!r}")
+
+
+def json_numbers(value) -> np.ndarray:
+    """A JSON array (nested or not) of numbers as a float array, by the rule
+    of :func:`json_value`; a ragged array raises ``TypeError`` too."""
+    cells = np.asarray(value, dtype=object)
+    if not set(map(type, cells.flat)) <= _NUMBER_TYPES:
+        bad = next(x for x in cells.flat if type(x) not in _NUMBER_TYPES)
+        raise TypeError(f"expected a number, got {bad!r}")
+    try:
+        return cells.astype(float)
+    except OverflowError as exc:
+        raise ValueError("a number in the array is out of range") from exc

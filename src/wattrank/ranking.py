@@ -6,11 +6,11 @@ import json
 import math
 from dataclasses import dataclass
 
-from .dataset_builder import json_number
 from .device_catalog import DeviceSpec
 from .errors import WattrankError
 from .estimator import MlpModel, Prediction, predict
 from .instruction_profiler import InstructionProfile
+from .json_types import json_value
 
 
 class EmptyCatalog(WattrankError):
@@ -191,13 +191,6 @@ def report(result: RankingResult, format: str = "table") -> str:
     raise WattrankError(f"unknown report format {format!r}")
 
 
-def _of_type(value, kind: type):
-    """``value`` when its type is exactly ``kind`` (so a boolean is no int)."""
-    if type(value) is not kind:
-        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
 def parse_report_json(text: str) -> RankingResult:
     """Rebuild a :class:`RankingResult` from :func:`report`'s JSON output.
 
@@ -209,19 +202,19 @@ def parse_report_json(text: str) -> RankingResult:
         doc = json.loads(text)
         entries = [
             RankingEntry(
-                device_name=_of_type(e["device"], str),
-                power_w=json_number(e["power_w"]),
-                perf_ips=json_number(e["perf_ips"]),
-                objective_score=json_number(e["score"]),
-                rank=_of_type(e["rank"], int),
+                device_name=json_value(e["device"], str),
+                power_w=json_value(e["power_w"], float),
+                perf_ips=json_value(e["perf_ips"], float),
+                objective_score=json_value(e["score"], float),
+                rank=json_value(e["rank"], int),
             )
             for e in doc["entries"]
         ]
         excluded = [
             Prediction(
-                power_w=json_number(p["power_w"]),
-                perf_ips=json_number(p["perf_ips"]),
-                device_name=_of_type(p["device"], str),
+                power_w=json_value(p["power_w"], float),
+                perf_ips=json_value(p["perf_ips"], float),
+                device_name=json_value(p["device"], str),
                 workload_id="",
             )
             for p in doc["excluded"]
@@ -230,8 +223,8 @@ def parse_report_json(text: str) -> RankingResult:
         return RankingResult(
             entries=entries,
             excluded=excluded,
-            objective=_of_type(doc["objective"], str),
-            power_cap_w=None if cap is None else json_number(cap),
+            objective=json_value(doc["objective"], str),
+            power_cap_w=None if cap is None else json_value(cap, float),
         )
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise WattrankError(f"not a ranking report: {exc!r}") from exc

@@ -21,6 +21,7 @@ from datetime import datetime
 from .device_catalog import DeviceSpec
 from .errors import WattrankError
 from .instruction_profiler import InstructionProfile
+from .json_types import json_value
 
 
 class MissingColumn(WattrankError):
@@ -129,11 +130,14 @@ def _parse_watts(raw: str, row: int) -> float:
 
 
 def parse_power_csv_text(text: str) -> PowerTrace:
-    """A row without a parsable timestamp is stamped with its sample index
-    times :data:`SAMPLE_INTERVAL_S`.  Rows that read exactly 0 W are dropped
-    and counted in :attr:`PowerTrace.zero_w_dropped`.  A timestamp that is
-    not finite or decreases raises :class:`UnparsableValue`."""
-    reader = csv.reader(io.StringIO(text))
+    """When no row has a parsable timestamp, each row is stamped with its
+    sample index times :data:`SAMPLE_INTERVAL_S`.  Rows that read exactly 0 W
+    are dropped and counted in :attr:`PowerTrace.zero_w_dropped`.  A
+    timestamp that is not finite or decreases, or a log in which some rows'
+    timestamps parse and others' do not, raises :class:`UnparsableValue`
+    naming the first row that breaks the rule.  Lines end as in a file read
+    in text mode: at LF, CRLF or a lone CR."""
+    reader = csv.reader(io.StringIO(text, newline=None))
     try:
         header = next(reader)
     except StopIteration:
@@ -153,6 +157,7 @@ def parse_power_csv_text(text: str) -> PowerTrace:
     samples: list[tuple[float, float]] = []
     zero_w_dropped = 0
     last_ts = -math.inf
+    index_stamped = None  # whether rows get index stamps; the first sample decides
     for row_number, row in enumerate(reader, start=2):
         if not any(map(str.strip, row)):
             continue
@@ -166,7 +171,12 @@ def parse_power_csv_text(text: str) -> PowerTrace:
         timestamp = None
         if time_col is not None and time_col < len(row):
             timestamp = _parse_timestamp(row[time_col])
-        if timestamp is None:
+        if (timestamp is None) is not index_stamped:
+            if samples:
+                parses = "does not parse" if timestamp is None else "parses"
+                raise UnparsableValue(row_number, f"timestamp {parses}, unlike earlier rows'")
+            index_stamped = timestamp is None
+        if index_stamped:
             timestamp = float(len(samples)) * SAMPLE_INTERVAL_S
         if not (math.isfinite(timestamp) and timestamp >= last_ts):
             raise UnparsableValue(row_number, f"timestamp {timestamp} is not finite or fell")
@@ -204,20 +214,13 @@ def load_run_meta(path) -> RunMeta:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)  # JSONDecodeError is a ValueError
-        workload_id, device_name, wall_clock_s = (
-            doc[key] for key in ("workload_id", "device_name", "wall_clock_s")
-        )
-        if type(workload_id) is not str or type(device_name) is not str:
-            raise TypeError("workload_id and device_name must be strings")
-        if type(wall_clock_s) not in (int, float):
-            raise TypeError(f"wall_clock_s must be a number, got {wall_clock_s!r}")
         meta = RunMeta(
-            workload_id=workload_id,
-            device_name=device_name,
-            wall_clock_s=float(wall_clock_s),
+            workload_id=json_value(doc["workload_id"], str),
+            device_name=json_value(doc["device_name"], str),
+            wall_clock_s=json_value(doc["wall_clock_s"], float),
             repetitions=doc.get("repetitions", 1),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UnparsableValue(0, f"bad run metadata {path}: {exc}") from exc
     _check_meta(meta)
     return meta

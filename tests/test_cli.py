@@ -10,6 +10,7 @@ import wattrank
 from wattrank import synthetic
 from wattrank.cli import main
 from wattrank.dataset_builder import CorruptDataset, load_dataset
+from wattrank.device_catalog import default_catalog, save_catalog
 from wattrank.instruction_profiler import profile_from_json
 from wattrank.ranking import CSV_HEADER
 
@@ -264,6 +265,101 @@ def test_ingest_of_non_finite_timestamp_exits_one(workflow, tmp_path, capsys, ba
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "row 3" in err and "Traceback" not in err
     assert not (tmp_path / "sample.json").exists()
+
+
+@pytest.mark.parametrize(
+    "stamps",
+    [["2021/03/01 10:00:00", "2021/03/01 10:00:01", "10:00:02"],
+     ["x", "2021/03/01 10:00:01"]],
+    ids=["unreadable-after-parsed", "parsed-after-unreadable"],
+)
+def test_ingest_of_mixed_timestamps_exits_one(workflow, tmp_path, capsys, stamps):
+    power = tmp_path / "power.csv"
+    power.write_text("timestamp, power.draw [W]\n"
+                     + "".join(f"{ts}, 150.00 W\n" for ts in stamps))
+    capsys.readouterr()
+    assert main(["ingest", "--power", str(power),
+                 "--meta", str(workflow / "run0.meta.json"),
+                 "--profile", str(next(workflow.glob("*.profile.json"))),
+                 "--out", str(tmp_path / "sample.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: row {len(stamps) + 1}: timestamp") and "parse" in err
+    assert not (tmp_path / "sample.json").exists()
+
+
+_NOT_UTF8 = b"\xff\xfe\x00b\x00a\x00d\x00"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["profile", "devices-list", "devices-add", "rank-ptx", "rank-model", "ingest-profile",
+     "ingest-meta", "ingest-power", "dataset-build", "train-dataset"],
+)
+def test_non_utf8_input_exits_one(workflow, tmp_path, capsys, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_NOT_UTF8)
+    (tmp_path / "samples").mkdir()
+    (tmp_path / "samples" / "s.json").write_bytes(_NOT_UTF8)
+    (tmp_path / "ds.csv").write_bytes(_NOT_UTF8)
+    ptx = str(next(workflow.glob("cnn_*.ptx")))
+
+    def ingest(**files):
+        files = {"profile": next(workflow.glob("*.profile.json")),
+                 "meta": workflow / "run0.meta.json", "power": workflow / "run0.csv", **files}
+        flags = [x for name, path in files.items() for x in (f"--{name}", str(path))]
+        return ["ingest", *flags, "--out", str(tmp_path / "o")]
+
+    argv = {
+        "profile": ["profile", str(bad)],
+        "devices-list": ["devices", "list", "--catalog", str(bad)],
+        "devices-add": ["devices", "add", "--file", str(bad), "--out", str(tmp_path / "o")],
+        "rank-ptx": ["rank", "--ptx", str(bad), "--model", str(tmp_path / "m.json")],
+        "rank-model": ["rank", "--ptx", ptx, "--model", str(bad)],
+        "ingest-profile": ingest(profile=bad),
+        "ingest-meta": ingest(meta=bad),
+        "ingest-power": ingest(power=bad),
+        "dataset-build": ["dataset", "build", "--samples", str(tmp_path / "samples"),
+                          "--out", str(tmp_path / "o")],
+        "train-dataset": ["train", "--dataset", str(tmp_path / "ds"),
+                          "--out", str(tmp_path / "o")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture
+def nan_catalog(tmp_path):
+    path = tmp_path / "nan_catalog.json"
+    save_catalog(default_catalog(), path)
+    text = path.read_text()
+    path.write_text(text.replace('"core_clock_mhz": 1530.0', '"core_clock_mhz": NaN', 1))
+    assert path.read_text() != text
+    return path
+
+
+def test_devices_list_of_nan_catalog_exits_one(nan_catalog, capsys):
+    assert main(["devices", "list", "--catalog", str(nan_catalog)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "core_clock_mhz" in captured.err
+    assert captured.out == ""
+
+
+def test_rank_with_nan_catalog_exits_one(workflow, nan_catalog, tmp_path, capsys):
+    prefix, model = tmp_path / "ds", tmp_path / "model.json"
+    assert main(["dataset", "build", "--samples", str(workflow / "samples"),
+                 "--out", str(prefix)]) == 0
+    assert main(["train", "--dataset", str(prefix), "--hidden", "none", "--epochs", "5",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["rank", "--ptx", str(next(workflow.glob("cnn_*.ptx"))),
+                 "--catalog", str(nan_catalog), "--model", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "core_clock_mhz" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from wattrank.device_catalog import (
     load_catalog,
     parse_catalog,
     save_catalog,
+    unique_names,
 )
 
 GOOD_RECORD = {
@@ -96,6 +97,48 @@ def test_schema_errors(mutate, field):
     with pytest.raises(SchemaError) as excinfo:
         parse_catalog(json.dumps([record]))
     assert excinfo.value.field == field
+
+
+def _catalog_text(field: str, literal: str) -> str:
+    """A one-record catalog whose ``field`` holds the JSON text ``literal``."""
+    return json.dumps([dict(GOOD_RECORD, **{field: "@@"})]).replace('"@@"', literal)
+
+
+_FLOAT_FIELDS = ["core_clock_mhz", "memory_clock_mhz", "memory_bandwidth_gbps", "tdp_watts"]
+_INT_FIELDS = ["sm_count", "fp32_cores", "l2_cache_kib"]
+
+
+@pytest.mark.parametrize(
+    "field,literal",
+    [(f, lit) for f in _FLOAT_FIELDS for lit in ("NaN", "Infinity", "-Infinity", "1e400")]
+    + [(f, "1" + "0" * 400) for f in _INT_FIELDS + _FLOAT_FIELDS]
+    + [("provenance", lit) for lit in ("7", "true", "[]", '{"a": "b"}')],
+)
+def test_catalog_numbers_must_be_finite_floats(field, literal):
+    with pytest.raises(SchemaError) as excinfo:
+        parse_catalog(_catalog_text(field, literal))
+    assert excinfo.value.field == field
+
+
+@pytest.mark.parametrize("literal", ['""', "null"])
+def test_provenance_may_be_empty_or_null(literal):
+    spec, = parse_catalog(_catalog_text("provenance", literal))
+    assert spec.provenance == json.loads(literal)
+
+
+def test_catalog_with_an_overlong_integer_is_a_schema_error():
+    with pytest.raises(SchemaError):
+        parse_catalog(_catalog_text("sm_count", "1" * 5000))
+
+
+def test_unique_names_keeps_order_and_rejects_the_first_repeat():
+    a, b = (DeviceSpec(n, "X", 1, 2, 3, 4.0, 5.0, 6.0) for n in "ab")
+    assert unique_names([b, a]) == [b, a]
+    with pytest.raises(DuplicateName) as excinfo:
+        unique_names([a, b, a, a])
+    assert excinfo.value.name == "a"
+    with pytest.raises(DuplicateName):
+        unique_names([a, a])
 
 
 def test_duplicate_names_rejected():

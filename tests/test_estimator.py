@@ -618,9 +618,9 @@ def _output_three_wide(doc):
         (lambda d: d.update(layer_dims=[], weights=[], biases=[]), "do not map"),
         (lambda d: d["weights"][0][0].__setitem__(0, float("nan")), "non-finite"),
         (lambda d: d["norm_stats"]["feature_stds"].__setitem__(0, float("inf")), "non-finite"),
-        (lambda d: d["layer_dims"].__setitem__(0, 5.7), "integers"),
-        (lambda d: d.update(seed=True), "integers"),
-        (lambda d: d.update(epochs_trained="12"), "integers"),
+        (lambda d: d["layer_dims"].__setitem__(0, 5.7), "expected an integer"),
+        (lambda d: d.update(seed=True), "expected an integer"),
+        (lambda d: d.update(epochs_trained="12"), "expected an integer"),
         (lambda d: d["weights"][0][0].__setitem__(0, "0.63"), "expected a number"),
         (lambda d: d["biases"][0].__setitem__(0, False), "expected a number"),
         (lambda d: d["norm_stats"]["feature_means"].__setitem__(0, "1.5"), "expected a number"),

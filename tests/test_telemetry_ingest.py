@@ -18,6 +18,7 @@ from wattrank.telemetry_ingest import (
     _parse_timestamp,
     build_run_record,
     mean_power,
+    parse_power_csv,
     parse_power_csv_text,
     trace_to_csv,
 )
@@ -200,6 +201,45 @@ def test_decreasing_timestamps_rejected():
     assert excinfo.value.row == 3
     trace = parse_power_csv_text(HEADER + "-1e308, 100.0 W\n-1e308, 90.0 W\n2, 80.0 W\n")
     assert [ts for ts, _ in trace.samples] == [-1e308, -1e308, 2.0]
+
+
+@pytest.mark.parametrize(
+    "rows,bad_row,parses",
+    [
+        (["2021/03/01 10:00:00", "2021/03/01 10:00:01", "10:00:02"], 4, "does not parse"),
+        (["x", "2021/03/01 10:00:01"], 3, "parses"),
+        (["N/A", "N/A", "5"], 4, "parses"),
+    ],
+    ids=["unreadable-after-parsed", "parsed-after-unreadable", "parsed-after-n/a"],
+)
+def test_mixed_parsed_and_index_timestamps_rejected(rows, bad_row, parses):
+    text = HEADER + "".join(f"{ts}, 100.0 W\n" for ts in rows)
+    with pytest.raises(UnparsableValue, match=f"timestamp {parses}, unlike") as excinfo:
+        parse_power_csv_text(text)
+    assert excinfo.value.row == bad_row
+
+
+def test_short_row_after_parsed_timestamps_rejected():
+    text = "power.draw [W], timestamp\n100 W, 5\n110 W, 6\n120 W\n"
+    with pytest.raises(UnparsableValue, match="does not parse") as excinfo:
+        parse_power_csv_text(text)
+    assert excinfo.value.row == 4
+
+
+def test_all_unreadable_timestamps_keep_index_stamps():
+    text = HEADER + "N/A, 100.0 W\nN/A, 0 W\nN/A, 110.0 W\nN/A, 120.0 W\n"
+    trace = parse_power_csv_text(text)
+    assert trace.samples == ((0.0, 100.0), (1.0, 110.0), (2.0, 120.0))
+    assert trace.zero_w_dropped == 1
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_text_splits_lines_as_a_file_does(tmp_path, newline):
+    text = newline.join([HEADER.rstrip("\n"), "5, 100.0 W", "6, 110.0 W", ""])
+    path = tmp_path / "power.csv"
+    path.write_bytes(text.encode())
+    assert parse_power_csv_text(text) == parse_power_csv(path)
+    assert parse_power_csv_text(text).samples == ((5.0, 100.0), (6.0, 110.0))
 
 
 def test_serialization_round_trip():
