@@ -32,11 +32,11 @@ from wattrank.telemetry_ingest import build_run_record, load_run_meta, parse_pow
 
 def write_experiment_files(experiment: synthetic.SyntheticExperiment, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
+    for name, ptx_text in experiment.kernels.items():
+        (outdir / f"{name}.ptx").write_text(ptx_text)
     run_files = []
     for index, run in enumerate(experiment.runs):
-        ptx_path = outdir / f"{run.workload_id}.ptx"
-        if not ptx_path.exists():
-            ptx_path.write_text(run.ptx_text)
+        ptx_path = outdir / f"{run.meta.workload_id}.ptx"
         power_path = outdir / f"run_{index:03d}.power.csv"
         power_path.write_text(run.power_csv_text)
         meta_path = outdir / f"run_{index:03d}.meta.json"
@@ -91,14 +91,14 @@ def main() -> int:
         print(f"  {split:<5}  power R^2 {row['power']['r2']:.4f}   "
               f"perf R^2 {row['perf']['r2']:.4f}")
 
-    print(f"\nplanted dominant features: power -> {config.power_dominant}, "
-          f"perf -> {config.perf_dominant}")
+    print(f"\nplanted dominant features: power -> {synthetic.POWER_DOMINANT}, "
+          f"perf -> {synthetic.PERF_DOMINANT}")
     for target in ("power", "perf"):
         ranked = feature_importance(ds, target)
         shown = ", ".join(f"{name} ({score:+.2f})" for name, score in ranked[:4])
         print(f"  {target} importance: {shown}")
 
-    workload = experiment.runs[0].workload_id
+    workload = experiment.runs[0].meta.workload_id
     prof = profile(parse_ptx_file(args.outdir / f"{workload}.ptx"), workload)
     print(f"\ndevice ranking for {workload} (perf per watt):")
     print(report(rank_devices(prof, experiment.devices, trained), "table"))

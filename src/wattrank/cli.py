@@ -150,7 +150,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    prof = _profile_ptx(args.ptx, args.workload_id)
+    prof = _profile_ptx(args.ptx, None)
     catalog = _load_catalog_arg(args.catalog)
     model = estimator.load_model(args.model)
     result = ranking.rank_devices(
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "perf_per_watt)")
     p.add_argument("--power-cap", type=float, default=None)
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--workload-id", default=None)
     p.set_defaults(func=_cmd_rank)
 
     return parser

@@ -19,8 +19,8 @@ import numpy as np
 from .device_catalog import DEVICE_FEATURE_NAMES, DeviceSpec, device_to_features
 from .errors import WattrankError
 from .instruction_profiler import CLASS_ORDER, InstructionProfile, profile_to_features
-from .json_types import json_numbers, json_value
-from .telemetry_ingest import RunRecord, UnparsableValue
+from .json_types import json_loads, json_numbers, json_value
+from .telemetry_ingest import RunRecord, UnparsableValue, csv_rows
 
 
 class TooFewSamples(WattrankError):
@@ -52,6 +52,11 @@ def _column_names(width: int) -> list[str]:
     """:func:`feature_names` for the 14-column contract, ``f0..f{w-1}`` otherwise."""
     names = feature_names()
     return names if width == len(names) else [f"f{i}" for i in range(width)]
+
+
+def _header(width: int) -> list[str]:
+    """The dataset CSV's header for ``width`` features."""
+    return ["workload_id", "device_name", *_column_names(width), "power_w", "perf_ips"]
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ def sample_from_json(text: str) -> LabeledSample:
     """Parse one sample; rejects anything but string ids and 14 finite
     features and targets, all JSON numbers."""
     try:
-        doc = json_value(json.loads(text), dict)
+        doc = json_value(json_loads(text), dict)
         names = doc.get("feature_names")
         if names is not None and list(names) != feature_names():
             raise InconsistentFeatureLength(
@@ -175,13 +180,12 @@ class TrainingDataset:
     norm: NormStats
     seed: int
 
-    def feature_matrix(self, indices=None) -> np.ndarray:
-        rows = self.samples if indices is None else [self.samples[i] for i in indices]
-        return np.stack([s.features for s in rows])
+    def feature_matrix(self, indices) -> np.ndarray:
+        return np.stack([self.samples[i].features for i in indices])
 
-    def target_matrix(self, indices=None) -> np.ndarray:
-        rows = self.samples if indices is None else [self.samples[i] for i in indices]
-        return np.array([[s.power_w, s.perf_ips] for s in rows], dtype=float)
+    def target_matrix(self, indices) -> np.ndarray:
+        return np.array([[self.samples[i].power_w, self.samples[i].perf_ips]
+                         for i in indices], dtype=float)
 
 
 def _split_indices(
@@ -247,9 +251,7 @@ def assemble(
 _TARGET_COLUMN = {"power": 0, "perf": 1}
 
 
-def feature_importance(
-    ds: TrainingDataset, target: str = "power"
-) -> list[tuple[str, float]]:
+def feature_importance(ds: TrainingDataset, target: str) -> list[tuple[str, float]]:
     """Pearson correlation of each feature with the target on the train split.
 
     Returns (name, score) pairs sorted by |score| descending; constant
@@ -301,7 +303,7 @@ def save_dataset(ds: TrainingDataset, prefix) -> tuple[Path, Path]:
     names = _column_names(ds.samples[0].features.shape[0])
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["workload_id", "device_name", *names, "power_w", "perf_ips"])
+        writer.writerow(_header(len(names)))
         for s in ds.samples:
             writer.writerow(
                 [s.workload_id, s.device_name]
@@ -324,20 +326,19 @@ def save_dataset(ds: TrainingDataset, prefix) -> tuple[Path, Path]:
 def load_dataset(prefix) -> TrainingDataset:
     """Inverse of :func:`save_dataset`; restores stats without recomputing.
 
-    A row whose field count differs from the header's, or a non-numeric or
-    non-finite cell, raises :class:`UnparsableValue` naming its CSV row.  A
-    sidecar whose indices do not split the rows into two non-empty sides, or
-    whose stats are not finite or not as wide as the CSV, raises
-    :class:`CorruptDataset` naming the sidecar.
+    A header other than the one :func:`save_dataset` writes for its width
+    raises :class:`InconsistentFeatureLength`.  A row whose field count
+    differs from the header's, a non-numeric or non-finite cell, or a line
+    the CSV reader cannot read raises :class:`UnparsableValue` naming its
+    CSV row.  A sidecar whose indices do not split the rows into two
+    non-empty sides, or whose stats are not finite or not as wide as the
+    CSV, raises :class:`CorruptDataset` naming the sidecar.
     """
     prefix = Path(prefix)
     with open(prefix.with_suffix(".csv"), newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh)
         header = next(reader, [])
-        if header[:2] != ["workload_id", "device_name"] or header[-2:] != [
-            "power_w",
-            "perf_ips",
-        ]:
+        if header != _header(len(header) - 4):
             raise InconsistentFeatureLength(f"unexpected dataset header {header!r}")
         samples = []
         for row_number, row in enumerate(reader, start=2):
@@ -358,7 +359,7 @@ def load_dataset(prefix) -> TrainingDataset:
     json_path = prefix.with_suffix(".json")
     try:
         with open(json_path, encoding="utf-8") as fh:
-            sidecar = json.load(fh)  # JSONDecodeError is a ValueError
+            sidecar = json_loads(fh.read())  # decode errors are ValueErrors
         train_idx, val_idx = sidecar["train_indices"], sidecar["val_indices"]
         indices = [json_value(i, int) for i in (*train_idx, *val_idx)]
         seed = json_value(sidecar["seed"], int)

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import WattrankError
-from .json_types import json_value
+from .json_types import json_loads, json_value
 
 
 class SchemaError(WattrankError):
@@ -109,8 +109,8 @@ def unique_names(specs: Iterable[DeviceSpec]) -> list[DeviceSpec]:
 
 def parse_catalog(text: str) -> list[DeviceSpec]:
     try:
-        raw = json_value(json.loads(text), list)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
+        raw = json_value(json_loads(text), list)
+    except ValueError as exc:  # bad or too deeply nested JSON, or too long an integer
         raise SchemaError("<json>", f"<parse error: {exc}>") from exc
     except TypeError:
         raise SchemaError("<root>", "<catalog must be a JSON array>") from None

@@ -23,7 +23,7 @@ from .dataset_builder import NormStats, TrainingDataset, feature_vector
 from .device_catalog import DeviceSpec
 from .errors import WattrankError
 from .instruction_profiler import InstructionProfile
-from .json_types import json_numbers, json_value
+from .json_types import json_loads, json_numbers, json_value
 
 MODEL_FILE_VERSION = 1
 RIDGE_PENALTY = 1e-6  # keeps the ridge normal equations solvable
@@ -375,23 +375,24 @@ def save_model(m: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     """Read a :func:`save_model` file.
 
-    Raises :class:`CorruptFile` naming ``path`` unless ``layer_dims``,
-    ``seed`` and ``epochs_trained`` are JSON integers, the weights, biases
-    and stats are JSON numbers, every one of them finite, and the layers
-    chain from the feature statistics to 2 outputs.  A ``feature_mask``
-    other than ``null`` is rejected too: models no longer carry a mask.
+    Raises :class:`CorruptFile` naming ``path`` unless ``version``,
+    ``layer_dims``, ``seed`` and ``epochs_trained`` are JSON integers, the
+    weights, biases and stats are JSON numbers, every one of them finite,
+    and the layers chain from the feature statistics to 2 outputs; a
+    version other than :data:`MODEL_FILE_VERSION` raises
+    :class:`VersionMismatch`.  A ``feature_mask`` other than ``null`` is
+    rejected too: models no longer carry a mask.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json_value(json.load(fh), dict)  # decode errors are ValueErrors
+            doc = json_value(json_loads(fh.read()), dict)  # decode errors are ValueErrors
+        version = json_value(doc["version"], int)
+    except KeyError:
+        raise CorruptFile(f"{path}: missing version field") from None
     except (TypeError, ValueError) as exc:
         raise CorruptFile(f"{path}: {exc}") from exc
-    if "version" not in doc:
-        raise CorruptFile(f"{path}: missing version field")
-    if doc["version"] != MODEL_FILE_VERSION:
-        raise VersionMismatch(
-            f"{path}: file version {doc['version']}, expected {MODEL_FILE_VERSION}"
-        )
+    if version != MODEL_FILE_VERSION:
+        raise VersionMismatch(f"{path}: file version {version}, expected {MODEL_FILE_VERSION}")
     if doc.get("feature_mask") is not None:
         raise CorruptFile(f"{path}: models no longer carry a feature_mask; retrain it")
     try:

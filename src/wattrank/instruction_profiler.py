@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WattrankError
-from .json_types import json_value
+from .json_types import json_loads, json_value
 from .ptx_parser import PtxDocument
 
 
@@ -106,7 +106,7 @@ def profile_from_json(text: str) -> InstructionProfile:
     by_value = {cls.value: cls for cls in InstructionClass}
     counts = {cls: 0 for cls in CLASS_ORDER}
     try:
-        doc = json_value(json.loads(text), dict)  # JSONDecodeError is a ValueError
+        doc = json_value(json_loads(text), dict)  # decode errors are ValueErrors
         workload_id = json_value(doc["workload_id"], str)
         total = json_value(doc["total"], int)
         for key, value in json_value(doc["counts"], dict).items():

@@ -10,7 +10,7 @@ from .device_catalog import DeviceSpec
 from .errors import WattrankError
 from .estimator import MlpModel, Prediction, predict
 from .instruction_profiler import InstructionProfile
-from .json_types import json_value
+from .json_types import json_loads, json_value
 
 
 class EmptyCatalog(WattrankError):
@@ -199,7 +199,7 @@ def parse_report_json(text: str) -> RankingResult:
     power cap (or null) are JSON numbers.
     """
     try:
-        doc = json.loads(text)
+        doc = json_loads(text)
         entries = [
             RankingEntry(
                 device_name=json_value(e["device"], str),

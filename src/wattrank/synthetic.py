@@ -66,39 +66,35 @@ _CLASS_STATEMENTS: dict[InstructionClass, tuple[str, ...]] = {
 _ARCHETYPE_COMPUTE = np.array([0.30, 0.45, 0.15, 0.04, 0.04, 0.02, 0.0, 0.0])
 _ARCHETYPE_MEMORY = np.array([0.55, 0.10, 0.25, 0.04, 0.04, 0.02, 0.0, 0.0])
 
+#: The planted power truth's dominant feature, weighted 1.
+POWER_DOMINANT = "arithmetic_and_floating_point"
+#: The planted performance truth's dominant feature, weighted 1.
+PERF_DOMINANT = "sm_count"
+_SECONDARY_WEIGHT = 0.05  # per-feature weight of the non-dominant features
+_POWER_BASE_W, _POWER_SPREAD_W = 150.0, 25.0
+_PERF_BASE_IPS, _PERF_SPREAD_IPS = 7.0e8, 1.5e8
+_SAMPLES_PER_TRACE = 30
+_REPETITIONS = 1000
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
     n_workloads: int = 20
     seed: int = 7
-    samples_per_trace: int = 30
     noise_frac: float = 0.01  # label noise sigma as a fraction of target range
-    power_dominant: str = "arithmetic_and_floating_point"
-    perf_dominant: str = "sm_count"
-    secondary_weight: float = 0.05  # per-feature weight of non-dominant features
-    power_base_w: float = 150.0
-    power_spread_w: float = 25.0
-    perf_base_ips: float = 7.0e8
-    perf_spread_ips: float = 1.5e8
-    repetitions: int = 1000
 
 
 @dataclass(frozen=True)
 class SyntheticRun:
-    workload_id: str
-    device_name: str
-    ptx_text: str
     power_csv_text: str
-    meta: RunMeta
-    true_power_w: float
-    true_perf_ips: float
+    meta: RunMeta  # names the workload and the device
 
 
 @dataclass(frozen=True)
 class SyntheticExperiment:
-    runs: list[SyntheticRun]
+    kernels: dict[str, str]  # workload id -> PTX text
+    runs: list[SyntheticRun]  # one per (workload, device) pair
     devices: list[DeviceSpec]
-    config: SyntheticConfig
 
 
 def make_workload_ptx(counts: dict[InstructionClass, int], name: str, rng) -> str:
@@ -124,9 +120,9 @@ def make_workload_ptx(counts: dict[InstructionClass, int], name: str, rng) -> st
     return "\n".join(lines) + "\n"
 
 
-def _power_csv(mean_w: float, n_samples: int, rng) -> str:
+def _power_csv(mean_w: float, rng) -> str:
     """nvidia-smi style CSV whose sample mean is exactly ``mean_w``."""
-    jitter = rng.normal(scale=0.5, size=n_samples)
+    jitter = rng.normal(scale=0.5, size=_SAMPLES_PER_TRACE)
     jitter -= jitter.mean()
     rows = ["timestamp, power.draw [W]"]
     for k, watts in enumerate(mean_w + jitter):
@@ -134,12 +130,11 @@ def _power_csv(mean_w: float, n_samples: int, rng) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _planted_targets(features: np.ndarray, dominant: str, secondary: float, rng):
+def _planted_targets(features: np.ndarray, dominant: str):
     """Unit-variance planted score: dominant feature weight 1, others small."""
-    names = feature_names()
     stds = features.std(axis=0)
-    weights = np.where(stds > 0, secondary, 0.0)
-    weights[names.index(dominant)] = 1.0
+    weights = np.where(stds > 0, _SECONDARY_WEIGHT, 0.0)
+    weights[feature_names().index(dominant)] = 1.0
     safe = np.where(stds > 0, stds, 1.0)
     z = (features - features.mean(axis=0)) / safe @ weights
     return z / z.std()
@@ -149,76 +144,50 @@ def generate(config: SyntheticConfig = SyntheticConfig()) -> SyntheticExperiment
     rng = np.random.default_rng(config.seed)
     devices = default_catalog()
 
-    workloads: list[tuple[str, str, dict[InstructionClass, int]]] = []
+    kernels: dict[str, str] = {}
     for w in range(config.n_workloads):
         t = rng.uniform()
         mix = t * _ARCHETYPE_COMPUTE + (1.0 - t) * _ARCHETYPE_MEMORY
         total = int(np.exp(rng.uniform(np.log(1500), np.log(12000))))
-        counts = {
-            cls: int(round(total * share)) for cls, share in zip(CLASS_ORDER, mix)
-        }
+        counts = {cls: int(round(total * share)) for cls, share in zip(CLASS_ORDER, mix)}
         name = f"cnn_{w:03d}"
-        workloads.append((name, make_workload_ptx(counts, name, rng), counts))
+        kernels[name] = make_workload_ptx(counts, name, rng)
 
-    feature_rows = []
-    pairs = []
-    for name, ptx_text, _counts in workloads:
-        prof = profile(parse_ptx(ptx_text), name)
-        for device in devices:
-            feature_rows.append(feature_vector(prof, device))
-            pairs.append((name, ptx_text, prof, device))
-    features = np.stack(feature_rows)
+    pairs = [
+        (profile(parse_ptx(ptx_text), name), device)
+        for name, ptx_text in kernels.items()
+        for device in devices
+    ]
+    features = np.stack([feature_vector(prof, device) for prof, device in pairs])
 
-    z_power = _planted_targets(
-        features, config.power_dominant, config.secondary_weight, rng
-    )
-    z_perf = _planted_targets(
-        features, config.perf_dominant, config.secondary_weight, rng
-    )
-    power_true = config.power_base_w + config.power_spread_w * z_power
-    perf_true = config.perf_base_ips + config.perf_spread_ips * z_perf
-    power_label = power_true + rng.normal(
-        scale=config.noise_frac * np.ptp(power_true), size=power_true.size
-    )
-    perf_label = perf_true + rng.normal(
-        scale=config.noise_frac * np.ptp(perf_true), size=perf_true.size
-    )
+    def noisy(truth):
+        return truth + rng.normal(scale=config.noise_frac * np.ptp(truth), size=truth.size)
 
-    runs = []
-    for row, (name, ptx_text, prof, device) in enumerate(pairs):
-        wall_clock = prof.total * config.repetitions / perf_label[row]
-        runs.append(
-            SyntheticRun(
-                workload_id=name,
-                device_name=device.name,
-                ptx_text=ptx_text,
-                power_csv_text=_power_csv(
-                    float(power_label[row]), config.samples_per_trace, rng
-                ),
-                meta=RunMeta(
-                    workload_id=name,
-                    device_name=device.name,
-                    wall_clock_s=float(wall_clock),
-                    repetitions=config.repetitions,
-                ),
-                true_power_w=float(power_true[row]),
-                true_perf_ips=float(perf_true[row]),
-            )
+    z_power = _planted_targets(features, POWER_DOMINANT)
+    z_perf = _planted_targets(features, PERF_DOMINANT)
+    power_label = noisy(_POWER_BASE_W + _POWER_SPREAD_W * z_power)
+    perf_label = noisy(_PERF_BASE_IPS + _PERF_SPREAD_IPS * z_perf)
+
+    runs = [
+        SyntheticRun(
+            power_csv_text=_power_csv(float(power_w), rng),
+            meta=RunMeta(prof.workload_id, device.name,
+                         float(prof.total * _REPETITIONS / perf_ips), _REPETITIONS),
         )
-    return SyntheticExperiment(runs=runs, devices=devices, config=config)
+        for (prof, device), power_w, perf_ips in zip(pairs, power_label, perf_label)
+    ]
+    return SyntheticExperiment(kernels=kernels, runs=runs, devices=devices)
 
 
 def ingest_experiment(experiment: SyntheticExperiment) -> list[LabeledSample]:
     """Run every synthetic artifact through the real ingestion path."""
     by_name = {d.name: d for d in experiment.devices}
-    profiles = {}  # each workload's kernel is parsed once, not once per device
+    profiles = {name: profile(parse_ptx(ptx_text), name)  # once, not once per device
+                for name, ptx_text in experiment.kernels.items()}
     samples = []
     for run in experiment.runs:
-        key = (run.workload_id, run.ptx_text)
-        if key not in profiles:
-            profiles[key] = profile(parse_ptx(run.ptx_text), run.workload_id)
-        prof = profiles[key]
+        prof, device = profiles[run.meta.workload_id], by_name[run.meta.device_name]
         trace = parse_power_csv_text(run.power_csv_text)
-        record = build_run_record(prof, by_name[run.device_name], trace, run.meta)
-        samples.append(make_sample(prof, by_name[run.device_name], record))
+        record = build_run_record(prof, device, trace, run.meta)
+        samples.append(make_sample(prof, device, record))
     return samples

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from datetime import datetime
 from .device_catalog import DeviceSpec
 from .errors import WattrankError
 from .instruction_profiler import InstructionProfile
-from .json_types import json_value
+from .json_types import json_loads, json_value
 
 
 class MissingColumn(WattrankError):
@@ -69,8 +68,6 @@ class RunRecord:
 
     workload_id: str
     device_name: str
-    wall_clock_s: float
-    static_instruction_count: int
     mean_power_w: float
     perf_ips: float
 
@@ -129,6 +126,16 @@ def _parse_watts(raw: str, row: int) -> float:
     return watts
 
 
+def csv_rows(lines):
+    """The rows of ``csv.reader(lines)``; a line it cannot read (a field over
+    its size limit, say) raises :class:`UnparsableValue` naming the line."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise UnparsableValue(reader.line_num, f"unreadable CSV line: {exc}") from None
+
+
 def parse_power_csv_text(text: str) -> PowerTrace:
     """When no row has a parsable timestamp, each row is stamped with its
     sample index times :data:`SAMPLE_INTERVAL_S`.  Rows that read exactly 0 W
@@ -137,7 +144,7 @@ def parse_power_csv_text(text: str) -> PowerTrace:
     timestamps parse and others' do not, raises :class:`UnparsableValue`
     naming the first row that breaks the rule.  Lines end as in a file read
     in text mode: at LF, CRLF or a lone CR."""
-    reader = csv.reader(io.StringIO(text, newline=None))
+    reader = csv_rows(io.StringIO(text, newline=None))
     try:
         header = next(reader)
     except StopIteration:
@@ -213,7 +220,7 @@ def load_run_meta(path) -> RunMeta:
     strings, ``wall_clock_s`` a number (not a boolean)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)  # JSONDecodeError is a ValueError
+            doc = json_loads(fh.read())  # decode errors are ValueErrors
         meta = RunMeta(
             workload_id=json_value(doc["workload_id"], str),
             device_name=json_value(doc["device_name"], str),
@@ -258,8 +265,6 @@ def build_run_record(
     return RunRecord(
         workload_id=profile.workload_id,
         device_name=device.name,
-        wall_clock_s=meta.wall_clock_s,
-        static_instruction_count=profile.total,
         mean_power_w=watts,
         perf_ips=profile.total * meta.repetitions / meta.wall_clock_s,
     )

@@ -161,7 +161,7 @@ def test_criterion_6_synthetic_end_to_end_recovery():
     assert r2[0] >= 0.95, f"power validation R^2 {r2[0]}"
     assert r2[1] >= 0.95, f"perf validation R^2 {r2[1]}"
     ranked = feature_importance(ds, "power")
-    assert ranked[0][0] == config.power_dominant
+    assert ranked[0][0] == synthetic.POWER_DOMINANT
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     _announce(6, f"end-to-end recovery: val R^2 power {r2[0]:.3f} / perf {r2[1]:.3f}, "

@@ -72,9 +72,9 @@ def workflow(tmp_path_factory):
     samples_dir.mkdir()
     profiles: dict[str, object] = {}
     for index, run in enumerate(experiment.runs):
-        ptx = root / f"{run.workload_id}.ptx"
+        ptx = root / f"{run.meta.workload_id}.ptx"
         if not ptx.exists():
-            ptx.write_text(run.ptx_text)
+            ptx.write_text(experiment.kernels[run.meta.workload_id])
         power = root / f"run{index}.csv"
         power.write_text(run.power_csv_text)
         meta = root / f"run{index}.meta.json"
@@ -84,9 +84,9 @@ def workflow(tmp_path_factory):
             "wall_clock_s": run.meta.wall_clock_s,
             "repetitions": run.meta.repetitions,
         }))
-        prof = root / f"{run.workload_id}.profile.json"
+        prof = root / f"{run.meta.workload_id}.profile.json"
         if not prof.exists():
-            assert main(["profile", str(ptx), "--workload-id", run.workload_id,
+            assert main(["profile", str(ptx), "--workload-id", run.meta.workload_id,
                          "--out", str(prof)]) == 0
         assert main([
             "ingest", "--power", str(power), "--meta", str(meta),
@@ -288,6 +288,8 @@ def test_ingest_of_mixed_timestamps_exits_one(workflow, tmp_path, capsys, stamps
 
 
 _NOT_UTF8 = b"\xff\xfe\x00b\x00a\x00d\x00"
+_DEEP_JSON = "[" * 100000  # nested deeper than the JSON decoder can follow
+_LONG_FIELD = "1" * 140000  # longer than the CSV reader's field size limit
 
 
 @pytest.mark.parametrize(
@@ -329,6 +331,73 @@ def test_non_utf8_input_exits_one(workflow, tmp_path, capsys, command):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["devices-list", "devices-add", "rank-catalog", "ingest-profile", "ingest-meta",
+     "ingest-catalog", "dataset-build"],
+)
+def test_deeply_nested_json_exits_one(workflow, tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP_JSON)
+    (tmp_path / "samples").mkdir()
+    (tmp_path / "samples" / "s.json").write_text(_DEEP_JSON)
+    ingest = ["ingest", "--profile", str(next(workflow.glob("*.profile.json"))),
+              "--meta", str(workflow / "run0.meta.json"), "--power", str(workflow / "run0.csv"),
+              "--out", str(tmp_path / "o")]
+    argv = {
+        "devices-list": ["devices", "list", "--catalog", str(deep)],
+        "devices-add": ["devices", "add", "--file", str(deep), "--out", str(tmp_path / "o")],
+        "rank-catalog": ["rank", "--ptx", str(next(workflow.glob("cnn_*.ptx"))),
+                         "--catalog", str(deep), "--model", str(tmp_path / "m.json")],
+        "ingest-profile": [*ingest, "--profile", str(deep)],
+        "ingest-meta": [*ingest, "--meta", str(deep)],
+        "ingest-catalog": [*ingest, "--catalog", str(deep)],
+        "dataset-build": ["dataset", "build", "--samples", str(tmp_path / "samples"),
+                          "--out", str(tmp_path / "o")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_ingest_of_power_log_with_a_long_field_exits_one(workflow, tmp_path, capsys):
+    power = tmp_path / "power.csv"
+    power.write_text(f"timestamp, power.draw [W]\n1, 150 W\n{_LONG_FIELD}, 150 W\n")
+    capsys.readouterr()
+    assert main(["ingest", "--power", str(power),
+                 "--meta", str(workflow / "run0.meta.json"),
+                 "--profile", str(next(workflow.glob("*.profile.json"))),
+                 "--out", str(tmp_path / "sample.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 3: ") and "field limit" in err
+    assert not (tmp_path / "sample.json").exists()
+
+
+@pytest.mark.parametrize("damage", ["long-field", "swapped-header"])
+def test_train_on_dataset_with_bad_csv_exits_one(workflow, tmp_path, capsys, damage):
+    prefix = tmp_path / "ds"
+    assert main(["dataset", "build", "--samples", str(workflow / "samples"),
+                 "--out", str(prefix)]) == 0
+    csv_path = prefix.with_suffix(".csv")
+    lines = csv_path.read_text().splitlines()
+    if damage == "long-field":
+        lines[3] = _LONG_FIELD + lines[3][lines[3].index(","):]
+    else:
+        assert "sm_count,fp32_cores" in lines[0]
+        lines[0] = lines[0].replace("sm_count,fp32_cores", "fp32_cores,sm_count")
+    csv_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(prefix), "--epochs", "5",
+                 "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    expected = "error: row 4: " if damage == "long-field" else "error: unexpected dataset header"
+    assert err.startswith(expected) and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.fixture
@@ -375,9 +444,10 @@ def test_rank_with_nan_catalog_exits_one(workflow, nan_catalog, tmp_path, capsys
         _edit_json(lambda d: d["norm_stats"].update(target_stds=[float("nan"), 1.0])),
         _edit_json(lambda d: d["norm_stats"]["feature_means"].__setitem__(0, "1.5")),
         _edit_json(lambda d: d["norm_stats"]["target_stds"].__setitem__(1, True)),
+        lambda text: _DEEP_JSON,
     ],
     ids=["malformed", "list", "no-norm-stats", "index-999", "index-twice",
-         "float-indices", "narrow-stats", "nan-stat", "string-mean", "bool-std"],
+         "float-indices", "narrow-stats", "nan-stat", "string-mean", "bool-std", "deep"],
 )
 def test_train_on_corrupt_sidecar_exits_one(workflow, tmp_path, capsys, corrupt):
     prefix = tmp_path / "ds"
@@ -398,8 +468,12 @@ def test_train_on_corrupt_sidecar_exits_one(workflow, tmp_path, capsys, corrupt)
         _edit_json(lambda d: d["weights"][0][0].__setitem__(0, float("nan"))),
         _edit_json(lambda d: d.update(feature_mask="yes")),
         _edit_json(lambda d: d.update(feature_mask=[True] * 13)),
+        _edit_json(lambda d: d.update(version=True)),
+        _edit_json(lambda d: d.update(version=1.0)),
+        lambda text: _DEEP_JSON,
     ],
-    ids=["nan-weight", "mask-string", "mask-13-long"],
+    ids=["nan-weight", "mask-string", "mask-13-long", "bool-version", "float-version",
+         "deep"],
 )
 def test_rank_with_corrupt_model_exits_one(workflow, tmp_path, capsys, corrupt):
     prefix = tmp_path / "ds"

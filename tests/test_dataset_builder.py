@@ -404,6 +404,45 @@ def test_load_dataset_rejects_bad_row_naming_it(tmp_path, bad_cell):
     assert info.value.row == 3
 
 
+def test_load_dataset_rejects_a_field_over_the_csv_size_limit(tmp_path):
+    ds = assemble(_random_samples(6, d=14), seed=1)
+    csv_path, _ = save_dataset(ds, tmp_path / "ds")
+    lines = csv_path.read_text().splitlines()
+    lines[3] = "w" * 140000 + lines[3][lines[3].index(","):]
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(UnparsableValue, match="field larger than field limit") as info:
+        load_dataset(tmp_path / "ds")
+    assert info.value.row == 4
+
+
+@pytest.mark.parametrize(
+    "rename",
+    [{"sm_count": "fp32_cores", "fp32_cores": "sm_count"},
+     {"power_w": "perf_ips", "perf_ips": "power_w"},
+     {name: f"f{i}" for i, name in enumerate(feature_names())}, {"device_name": "device"}],
+    ids=["swapped-features", "swapped-targets", "f-name-at-width-14", "renamed-id"],
+)
+def test_load_dataset_requires_the_exact_header(tmp_path, rename):
+    ds = assemble(_random_samples(6, d=14), seed=1)
+    csv_path, _ = save_dataset(ds, tmp_path / "ds")
+    header, rest = csv_path.read_text().split("\n", 1)
+    header = ",".join(rename.get(name, name) for name in header.split(","))
+    csv_path.write_text(header + "\n" + rest)
+    with pytest.raises(InconsistentFeatureLength, match="unexpected dataset header"):
+        load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("width", [1, 3, 13, 15])
+def test_datasets_of_other_widths_load_with_f_names(tmp_path, width):
+    ds = assemble(_random_samples(6, d=width), seed=1)
+    csv_path, _ = save_dataset(ds, tmp_path / "ds")
+    header = csv_path.read_text().splitlines()[0].split(",")
+    assert header[2:-2] == [f"f{i}" for i in range(width)]
+    loaded = load_dataset(tmp_path / "ds")
+    assert [s.features.tolist() for s in loaded.samples] == [
+        s.features.tolist() for s in ds.samples]
+
+
 def test_dataset_csv_header_names(tmp_path):
     ds = assemble(_random_samples(5, d=14), seed=1)
     csv_path, _ = save_dataset(ds, tmp_path / "ds")

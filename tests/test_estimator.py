@@ -586,6 +586,28 @@ def test_load_model_version_mismatch(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "version,error",
+    [(True, CorruptFile), (1.0, CorruptFile), ("1", CorruptFile), (None, CorruptFile),
+     ([1], CorruptFile), (0, VersionMismatch), (2, VersionMismatch),
+     (10**400, VersionMismatch)],
+)
+def test_load_model_reads_the_version_as_a_json_integer(tmp_path, version, error):
+    ds = _linear_dataset()
+    path = tmp_path / "model.json"
+    save_model(fit_linear_baseline(ds), path)
+    assert load_model(path).layer_dims == (5, 2)
+    doc = json.loads(path.read_text())
+    doc["version"] = version
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error, match=re.escape(str(path))):
+        load_model(path)
+    del doc["version"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile, match="missing version"):
+        load_model(path)
+
+
 def test_load_model_corrupt_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("{ not json")

@@ -34,7 +34,7 @@ from wattrank.device_catalog import (
 from wattrank.errors import WattrankError
 from wattrank.estimator import Prediction, init_model, load_model, save_model
 from wattrank.instruction_profiler import profile, profile_from_json, profile_to_json
-from wattrank.json_types import json_numbers, json_value
+from wattrank.json_types import json_loads, json_numbers, json_value
 from wattrank.ptx_parser import parse_ptx
 from wattrank.ranking import parse_report_json, rank_predictions, report
 from wattrank.telemetry_ingest import load_run_meta, parse_power_csv_text
@@ -165,6 +165,46 @@ def _catalog_with(field, literal):
                for d in default_catalog()]
     records[0][field] = "@@"
     return json.dumps(records).replace('"@@"', literal)
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_every_json_loader_rejects_nesting_too_deep_to_decode(docs, name):
+    with pytest.raises(WattrankError):
+        docs[name][1]("[" * 100000)
+
+
+def _nested(depth, leaf):
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+@pytest.mark.parametrize(
+    "name,path",
+    [("sample", ["features"]), ("model", ["weights", 0]), ("model", ["norm_stats", "target_stds"]),
+     ("sidecar", ["norm_stats", "feature_means"]), ("catalog", [0, "sm_count"])],
+)
+@pytest.mark.parametrize("depth", [40, 200])
+def test_json_loaders_reject_deep_arrays_that_decode(docs, name, path, depth):
+    """Arrays deeper than numpy's 32 iterable dimensions, inside documents
+    that the decoder can read."""
+    doc, load = docs[name]
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = _nested(depth, 1.0)
+    with pytest.raises(WattrankError):
+        load(json.dumps(doc))
+
+
+def test_json_loads_turns_deep_nesting_into_value_error():
+    assert json_loads("[[1]]") == [[1]]
+    with pytest.raises(ValueError, match="nested too deeply"):
+        json_loads('{"a": ' * 100000)
+    assert json_numbers(_nested(40, 2)).shape == (1,) * 40
+    with pytest.raises(TypeError, match="expected a number"):
+        json_numbers(_nested(40, "2"))
 
 
 @settings(max_examples=120, deadline=None)

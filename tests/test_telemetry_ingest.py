@@ -74,6 +74,18 @@ def test_unparsable_value_reports_row():
     assert excinfo.value.row == 3
 
 
+@pytest.mark.parametrize("field", ["timestamp", "power"])
+def test_field_over_the_csv_size_limit_reports_its_line(field):
+    long = "1" * 140000
+    row = f"{long}, 100 W\n" if field == "timestamp" else f"2, {long}\n"
+    with pytest.raises(UnparsableValue, match="field larger than field limit") as info:
+        parse_power_csv_text(HEADER + "1, 100 W\n" + row + "3, 100 W\n")
+    assert info.value.row == 3
+    with pytest.raises(UnparsableValue) as info:
+        parse_power_csv_text("x" * 140000 + "\n1, 100 W\n")
+    assert info.value.row == 1
+
+
 def test_negative_power_rejected():
     with pytest.raises(UnparsableValue):
         parse_power_csv_text(HEADER + "a, -5.0 W\n")
@@ -290,7 +302,6 @@ def test_run_record_perf_simple():
     record = build_run_record(_profile_with_total(20), DEVICE, trace, meta)
     assert record.perf_ips == 10.0
     assert record.mean_power_w == 110.0
-    assert record.static_instruction_count == 20
 
 
 def test_run_record_perf_with_repetitions():
