@@ -36,8 +36,6 @@ from .instruction_profiler import (
 from .ptx_parser import (
     MalformedInstruction,
     PtxDocument,
-    PtxInstruction,
-    canonical_form,
     parse_ptx,
     parse_ptx_file,
 )

@@ -80,10 +80,10 @@ def classify_opcode(opcode_root: str) -> InstructionClass:
 def profile(doc: PtxDocument, workload_id: str) -> InstructionProfile:
     """Count instructions per class. Classes with zero hits are kept at 0."""
     counts = {cls: 0 for cls in CLASS_ORDER}
-    for root, n in Counter(doc.opcode_roots).items():
+    for root, n in Counter(doc.instructions).items():
         counts[classify_opcode(root)] += n
     return InstructionProfile(
-        workload_id=workload_id, counts=counts, total=len(doc.opcode_roots)
+        workload_id=workload_id, counts=counts, total=len(doc.instructions)
     )
 
 

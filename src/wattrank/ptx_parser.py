@@ -7,23 +7,20 @@ nvcc's multi-line ``.extern .func`` declarations and ``call`` statements
 are single statements.  Braces, labels and directives are counted and
 skipped (``.version``, ``.target``, ``.address_size``, ``.file`` and
 ``.loc`` end at the line, other directives at ``;`` or before a body
-``{``); ``.entry`` directives also contribute kernel names.  Trailing text
-with no ``;`` is counted as an unterminated fragment.  Every other
-statement is an instruction, and parsing keeps only its opcode root: it
-decodes (and counts lines up to) just the statements whose shape it cannot
-vouch for, so a malformed one raises with its line.
-:attr:`PtxDocument.instructions` re-scans the comment-stripped text on
-first use and decodes every instruction into root, modifiers, data-type
-suffix, operands and line.  There is no semantic checking (register
-typing, ABI): unknown opcodes parse fine and are classified downstream.
+``{``).  Trailing text with no ``;`` is counted as an unterminated
+fragment.  Every other statement is an instruction, and a document keeps
+only its opcode root, which is all that profiling reads.  The statements
+whose shape the regex cannot vouch for, and those whose opcode takes no
+operands, are checked in full (guard, opcode, operands), and lines are
+counted up to just those, so a malformed one raises with its line.
+There is no semantic checking (register typing, ABI): unknown opcodes
+parse fine and are classified downstream.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 from .errors import WattrankError
 
@@ -37,18 +34,11 @@ class MalformedInstruction(WattrankError):
         self.reason = reason
 
 
-# Trailing dot-separated token that counts as the data-type suffix.  Anything
-# else (rounding modes, .wide, .global, vector widths, bf16/tf32, ...) stays
-# a modifier.
-TYPE_SUFFIXES = frozenset(
-    f"{kind}{width}" for kind in "usb" for width in (8, 16, 32, 64)
-) | {"f16", "f32", "f64", "pred"}
 # Opcodes that take no operands; one with an operand has lost its ``;``
 # (``ret⏎exit;``).
 OPERANDLESS_ROOTS = frozenset({"ret", "exit", "trap", "brkpt"})
 
 _GUARD_RE = re.compile(r"@\s*!?\s*%?[A-Za-z_$][A-Za-z0-9_$]*")
-_ENTRY_RE = re.compile(r"\.entry\s+([A-Za-z_$%][A-Za-z0-9_$]*)")
 _COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 
 # An operand of the common shape: a flat token or one unnested bracket group.
@@ -57,15 +47,14 @@ _ATOM = r"(?:[^\s,;()\[\]{}]+|\[[^;()\[\]{}]*\]|\{[^;()\[\]{}]*\}|\([^;()\[\]{}]
 # instruction's text before its ``;`` and ``root`` its opcode root when the
 # statement has the common shape (guard, ``root.mods``, comma-separated
 # atoms), which _parse_instruction is certain to accept unless the root is
-# in OPERANDLESS_ROOTS and has operands; ``directive`` is a
-# directive that may name an ``.entry``; ``fragment`` is trailing text with
-# no ``;``.  Braces, labels and line-terminated directives match no group.
+# in OPERANDLESS_ROOTS and has operands; ``fragment`` is trailing text with
+# no ``;``.  Braces, labels and directives match no group.
 _STATEMENT_RE = re.compile(
     rf"""\s*(?:
         [{{}}]
       | [A-Za-z_$%][A-Za-z0-9_$]*\s*:
       | \.(?:version|target|address_size|file|loc)\b[^;\n]*;?
-      | (?P<directive>\.[^;{{}}=]*(?:=[^;]*)?);?
+      | \.[^;{{}}=]*(?:=[^;]*)?;?
       | (?P<stmt>
             (?:@!?%?[A-Za-z_$][A-Za-z0-9_$]*\s+)?
             (?P<root>[A-Za-z_][A-Za-z0-9_]*)(?:\.[A-Za-z0-9_]+)*
@@ -79,62 +68,13 @@ _STATEMENT_RE = re.compile(
 
 
 @dataclass(frozen=True)
-class PtxInstruction:
-    """One parsed machine instruction."""
-
-    opcode_root: str
-    modifiers: tuple[str, ...]
-    type_suffix: str | None
-    operands: tuple[str, ...]
-    source_line: int
-    guard: str | None = None
-
-    @property
-    def predicated(self) -> bool:
-        return self.guard is not None
-
-    @property
-    def operand_count(self) -> int:
-        return len(self.operands)
-
-
-@dataclass(frozen=True)
 class PtxDocument:
-    """One PTX file's instructions in source order, as opcode roots.  The
-    comment-stripped text is kept so that :attr:`instructions` can decode
-    them on demand."""
+    """One PTX file's instruction statements, as opcode roots in source
+    order, and how many other statements it skipped."""
 
-    opcode_roots: tuple[str, ...]
-    kernel_names: tuple[str, ...]
+    instructions: tuple[str, ...]
     skipped_directive_count: int  # directives, labels and braces
     fragment_count: int  # unterminated trailing text
-    text: str = field(repr=False, compare=False)  # comments stripped
-
-    @cached_property
-    def instructions(self) -> tuple[PtxInstruction, ...]:
-        """Every instruction statement, decoded on first access by
-        re-scanning :attr:`text`."""
-        line_at = _line_counter(self.text)
-        return tuple(
-            _parse_instruction(m["stmt"], line_at(m.start("stmt")))
-            for m in _STATEMENT_RE.finditer(self.text)
-            if m["stmt"] is not None
-        )
-
-
-def _line_counter(text: str):
-    """``line_at(offset)``: the 1-based line of ``offset`` in ``text``.
-    Offsets must not decrease from call to call; each call counts only the
-    newlines since the previous one, so a whole pass stays linear."""
-    line, pos = 1, 0
-
-    def line_at(offset: int) -> int:
-        nonlocal line, pos
-        line += text.count("\n", pos, offset)
-        pos = offset
-        return line
-
-    return line_at
 
 
 def _split_operands(text: str, line: int) -> tuple[str, ...]:
@@ -183,14 +123,15 @@ def _breaks_at_top_level(operand: str) -> bool:
     return False
 
 
-def _parse_instruction(stmt: str, line: int) -> PtxInstruction:
+def _parse_instruction(stmt: str, line: int) -> str:
+    """Check one instruction statement (its text before ``;``) and return its
+    opcode root; raise :class:`MalformedInstruction` at ``line`` if it is
+    malformed."""
     s = stmt.strip()
-    guard = None
     if s.startswith("@"):
         m = _GUARD_RE.match(s)
         if m is None:
             raise MalformedInstruction(line, f"unparsable guard {s.split()[0]!r}")
-        guard = m.group(0)
         s = s[m.end() :].lstrip()
     if not s:
         raise MalformedInstruction(line, "empty opcode")
@@ -198,76 +139,50 @@ def _parse_instruction(stmt: str, line: int) -> PtxInstruction:
     pieces = [p for p in opcode_token.split(".") if p]
     if not pieces:
         raise MalformedInstruction(line, "empty opcode")
-    root, *tail = pieces
-    suffix = tail.pop() if tail and tail[-1] in TYPE_SUFFIXES else None
-    operands = _split_operands(rest[0] if rest else "", line)
-    if operands and root in OPERANDLESS_ROOTS:
+    root = pieces[0]
+    if _split_operands(rest[0] if rest else "", line) and root in OPERANDLESS_ROOTS:
         raise MalformedInstruction(line, f"{root!r} takes no operands (missing ';'?)")
-    return PtxInstruction(
-        opcode_root=root,
-        modifiers=tuple(tail),
-        type_suffix=suffix,
-        operands=operands,
-        source_line=line,
-        guard=guard,
-    )
+    return root
 
 
 def parse_ptx(text: str) -> PtxDocument:
     """Parse PTX source text, which need not be a complete valid module.
 
     Raises :class:`MalformedInstruction` on an instruction statement with
-    an empty opcode, unbalanced brackets or operands on an opcode of
+    an unparsable guard, an empty opcode, unbalanced brackets, an empty
+    operand, a line break inside an operand or operands on an opcode of
     :data:`OPERANDLESS_ROOTS`; parsing aborts at that point.
     """
     # Block comments keep their newlines, so line numbers stay right; trailing
     # whitespace goes, as the regex would rescan it from every position.
     text = _COMMENT_RE.sub(lambda m: "\n" * m.group().count("\n") or " ", text).rstrip()
     roots: list[str] = []
-    kernel_names: list[str] = []
     skipped = fragments = 0
-    line_at = _line_counter(text)
+    line, counted_to = 1, 0
     for m in _STATEMENT_RE.finditer(text):
-        directive, stmt, root, fragment = m.groups()
+        stmt, root, fragment = m.groups()
         if stmt is not None:
             if root is None or root in OPERANDLESS_ROOTS:
-                # Not the common shape, or no operands allowed: decode now, so
-                # a malformed one raises.  Only these need their line.
-                root = _parse_instruction(stmt, line_at(m.start("stmt"))).opcode_root
+                # Not the common shape, or no operands allowed: check it now,
+                # so a malformed one raises.  Only these need their line, and
+                # counting on from the last one keeps the pass linear.
+                start = m.start("stmt")
+                line += text.count("\n", counted_to, start)
+                counted_to = start
+                root = _parse_instruction(stmt, line)
             roots.append(root)
         elif fragment is not None:
             fragments += 1
         else:
             skipped += 1
-            if directive is not None:
-                kernel_names.extend(_ENTRY_RE.findall(directive))
 
     return PtxDocument(
-        opcode_roots=tuple(roots),
-        kernel_names=tuple(kernel_names),
+        instructions=tuple(roots),
         skipped_directive_count=skipped,
         fragment_count=fragments,
-        text=text,
     )
 
 
 def parse_ptx_file(path) -> PtxDocument:
     with open(path, encoding="utf-8") as fh:
         return parse_ptx(fh.read())
-
-
-def canonical_form(
-    inst: PtxInstruction, operands: Sequence[str] | None = None
-) -> str:
-    """Render ``root.mods.type ops;`` text that re-parses to ``inst``.
-
-    ``operands`` defaults to the operand tokens captured at parse time.
-    """
-    ops: Iterable[str] = inst.operands if operands is None else operands
-    token = ".".join(
-        (inst.opcode_root, *inst.modifiers)
-        + ((inst.type_suffix,) if inst.type_suffix else ())
-    )
-    head = f"{inst.guard} " if inst.predicated else ""
-    body = ", ".join(ops)
-    return f"{head}{token} {body};" if body else f"{head}{token};"

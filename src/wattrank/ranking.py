@@ -75,9 +75,11 @@ def rank_predictions(
 
     Devices whose predicted power exceeds ``power_cap_w`` are listed
     separately; :class:`AllDevicesExcluded` is raised when no device
-    survives the cap.
+    survives the cap.  A NaN cap, which no power exceeds, is rejected.
     """
     objective = resolve_objective(objective)
+    if power_cap_w is not None and math.isnan(power_cap_w):
+        raise WattrankError("power cap must be a number, got nan")
     if not predictions:
         raise EmptyCatalog("no devices to rank")
 

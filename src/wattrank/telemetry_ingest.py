@@ -45,6 +45,11 @@ class ImplausiblePower(WattrankError):
     pass
 
 
+class MismatchedRun(WattrankError):
+    """The run metadata names another workload or device than the profile
+    and device it is joined with."""
+
+
 @dataclass(frozen=True)
 class PowerTrace:
     """Sampled power draw: (timestamp-or-index, watts) pairs in file order,
@@ -252,19 +257,34 @@ def build_run_record(
 ) -> RunRecord:
     """Combine a profile, device, and power trace into measured labels.
 
-    The mean power is sanity-checked against the device TDP (plus 20%
-    headroom) when the catalog knows it.
+    The metadata must name the profile's workload and the device.  The mean
+    power is sanity-checked against the device TDP (plus 20% headroom) when
+    the catalog knows it, and the instructions per second must be finite.
     """
     _check_meta(meta)
+    if meta.workload_id != profile.workload_id or meta.device_name != device.name:
+        raise MismatchedRun(
+            f"run metadata is for {meta.workload_id!r} on {meta.device_name!r}, "
+            f"but the profile is {profile.workload_id!r} and the device {device.name!r}"
+        )
     watts = mean_power(trace)
     if device.tdp_watts is not None and watts > 1.2 * device.tdp_watts:
         raise ImplausiblePower(
             f"mean power {watts:.1f} W exceeds 1.2 x TDP "
             f"({device.tdp_watts:.1f} W) for {device.name}"
         )
+    try:
+        perf_ips = profile.total * meta.repetitions / meta.wall_clock_s
+    except OverflowError:  # an int too large for a float
+        perf_ips = math.inf
+    if not math.isfinite(perf_ips):
+        raise UnparsableValue(
+            0, f"{profile.total} instructions x {meta.repetitions} repetitions / "
+            f"{meta.wall_clock_s} s is not a finite instructions per second"
+        )
     return RunRecord(
         workload_id=profile.workload_id,
         device_name=device.name,
         mean_power_w=watts,
-        perf_ips=profile.total * meta.repetitions / meta.wall_clock_s,
+        perf_ips=perf_ips,
     )

@@ -65,7 +65,9 @@ def test_devices_add_refuses_builtin_overwrite(tmp_path):
 
 @pytest.fixture(scope="module")
 def workflow(tmp_path_factory):
-    """Files for the full CLI pipeline, from one small synthetic experiment."""
+    """Files for the full CLI pipeline, from one small synthetic experiment.
+    Run ``i`` has ``run{i}.csv`` and ``run{i}.meta.json``; run 0 is workload
+    ``cnn_000``, profiled in ``cnn_000.profile.json``."""
     root = tmp_path_factory.mktemp("workflow")
     experiment = synthetic.generate(synthetic.SyntheticConfig(n_workloads=8, seed=3))
     samples_dir = root / "samples"
@@ -140,6 +142,20 @@ def test_rank_power_cap_excludes_everything(workflow, tmp_path, capsys):
                  "--model", str(model), "--power-cap", "0.001"])
     assert code == 2
     assert "exclude" in capsys.readouterr().err
+
+
+def test_rank_nan_power_cap_exits_one(workflow, tmp_path, capsys):
+    prefix, model = tmp_path / "ds", tmp_path / "model.json"
+    assert main(["dataset", "build", "--samples", str(workflow / "samples"),
+                 "--out", str(prefix)]) == 0
+    assert main(["train", "--dataset", str(prefix), "--hidden", "none", "--epochs", "5",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["rank", "--ptx", str(next(workflow.glob("cnn_*.ptx"))),
+                 "--model", str(model), "--power-cap", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: power cap must be a number, got nan\n"
+    assert captured.out == ""
 
 
 def test_train_with_feature_selection(workflow, tmp_path, capsys):
@@ -218,15 +234,21 @@ def _edit_json(change):
         ("profile", _edit_json(lambda d: d.update(
             counts={**dict.fromkeys(d["counts"], 0), "other": True}, total=1))),
         ("profile", _edit_json(lambda d: d.update(workload_id=7))),
+        ("meta", _edit_json(lambda d: d.update(workload_id="other_kernel"))),
+        ("profile", _edit_json(lambda d: d.update(workload_id="other_kernel"))),
+        ("meta", _edit_json(lambda d: d.update(repetitions=10**400))),
+        ("meta", _edit_json(lambda d: d.update(wall_clock_s=1e-320))),
     ],
     ids=["meta-malformed", "meta-nan-wall-clock", "meta-infinite-wall-clock",
          "meta-fractional-repetitions", "meta-bool-repetitions",
          "meta-numeric-workload-id", "meta-string-wall-clock",
-         "profile-counts-list", "profile-bool-count", "profile-numeric-workload-id"],
+         "profile-counts-list", "profile-bool-count", "profile-numeric-workload-id",
+         "meta-other-workload", "profile-other-workload",
+         "meta-repetitions-overflow-float", "meta-wall-clock-makes-infinite-perf"],
 )
 def test_ingest_of_bad_meta_or_profile_exits_one(workflow, tmp_path, capsys, which, corrupt):
     files = {"meta": workflow / "run0.meta.json",
-             "profile": next(workflow.glob("*.profile.json"))}
+             "profile": workflow / "cnn_000.profile.json"}
     bad = tmp_path / f"bad.{which}.json"
     bad.write_text(corrupt(files[which].read_text()))
     files[which] = bad
@@ -246,7 +268,7 @@ def test_ingest_reports_dropped_zero_watt_rows(workflow, tmp_path, capsys):
     capsys.readouterr()
     assert main(["ingest", "--power", str(power),
                  "--meta", str(workflow / "run0.meta.json"),
-                 "--profile", str(next(workflow.glob("*.profile.json"))),
+                 "--profile", str(workflow / "cnn_000.profile.json"),
                  "--out", str(tmp_path / "sample.json")]) == 0
     out = capsys.readouterr().out
     assert "150.00 W" in out and "(3 0 W rows dropped)" in out
@@ -260,7 +282,7 @@ def test_ingest_of_non_finite_timestamp_exits_one(workflow, tmp_path, capsys, ba
     capsys.readouterr()
     assert main(["ingest", "--power", str(power),
                  "--meta", str(workflow / "run0.meta.json"),
-                 "--profile", str(next(workflow.glob("*.profile.json"))),
+                 "--profile", str(workflow / "cnn_000.profile.json"),
                  "--out", str(tmp_path / "sample.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "row 3" in err and "Traceback" not in err
@@ -280,7 +302,7 @@ def test_ingest_of_mixed_timestamps_exits_one(workflow, tmp_path, capsys, stamps
     capsys.readouterr()
     assert main(["ingest", "--power", str(power),
                  "--meta", str(workflow / "run0.meta.json"),
-                 "--profile", str(next(workflow.glob("*.profile.json"))),
+                 "--profile", str(workflow / "cnn_000.profile.json"),
                  "--out", str(tmp_path / "sample.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: row {len(stamps) + 1}: timestamp") and "parse" in err
@@ -306,7 +328,7 @@ def test_non_utf8_input_exits_one(workflow, tmp_path, capsys, command):
     ptx = str(next(workflow.glob("cnn_*.ptx")))
 
     def ingest(**files):
-        files = {"profile": next(workflow.glob("*.profile.json")),
+        files = {"profile": workflow / "cnn_000.profile.json",
                  "meta": workflow / "run0.meta.json", "power": workflow / "run0.csv", **files}
         flags = [x for name, path in files.items() for x in (f"--{name}", str(path))]
         return ["ingest", *flags, "--out", str(tmp_path / "o")]
@@ -343,7 +365,7 @@ def test_deeply_nested_json_exits_one(workflow, tmp_path, capsys, command):
     deep.write_text(_DEEP_JSON)
     (tmp_path / "samples").mkdir()
     (tmp_path / "samples" / "s.json").write_text(_DEEP_JSON)
-    ingest = ["ingest", "--profile", str(next(workflow.glob("*.profile.json"))),
+    ingest = ["ingest", "--profile", str(workflow / "cnn_000.profile.json"),
               "--meta", str(workflow / "run0.meta.json"), "--power", str(workflow / "run0.csv"),
               "--out", str(tmp_path / "o")]
     argv = {
@@ -371,7 +393,7 @@ def test_ingest_of_power_log_with_a_long_field_exits_one(workflow, tmp_path, cap
     capsys.readouterr()
     assert main(["ingest", "--power", str(power),
                  "--meta", str(workflow / "run0.meta.json"),
-                 "--profile", str(next(workflow.glob("*.profile.json"))),
+                 "--profile", str(workflow / "cnn_000.profile.json"),
                  "--out", str(tmp_path / "sample.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: row 3: ") and "field limit" in err

@@ -50,8 +50,9 @@ def test_classify_table(root, expected):
 
 
 def test_classify_uses_opcode_root_only():
-    inst = parse_ptx("cvta.to.global.u64 %rd3, %rd2;").instructions[0]
-    assert classify_opcode(inst.opcode_root) is _C.DATA_MOVEMENT_AND_CONVERSION
+    (root,) = parse_ptx("cvta.to.global.u64 %rd3, %rd2;").instructions
+    assert root == "cvta"
+    assert classify_opcode(root) is _C.DATA_MOVEMENT_AND_CONVERSION
 
 
 def test_corpus_profile_counts(corpus_doc):

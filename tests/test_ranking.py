@@ -77,6 +77,11 @@ def test_all_devices_excluded():
         rank_predictions([_pred("hot", 300.0, 1e9)], "max_perf", power_cap_w=100.0)
 
 
+def test_nan_power_cap_rejected():
+    with pytest.raises(WattrankError, match="nan"):
+        rank_predictions([_pred("cool", 100.0, 1e9)], "max_perf", power_cap_w=float("nan"))
+
+
 def test_empty_catalog():
     with pytest.raises(EmptyCatalog):
         rank_predictions([], "max_perf")

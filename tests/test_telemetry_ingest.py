@@ -10,6 +10,7 @@ from wattrank.ptx_parser import parse_ptx
 from wattrank.telemetry_ingest import (
     EmptyTrace,
     ImplausiblePower,
+    MismatchedRun,
     MissingColumn,
     NonPositiveDuration,
     PowerTrace,
@@ -336,6 +337,27 @@ def test_power_above_tdp_bound_rejected():
     trace = PowerTrace(((0.0, 400.0),))  # 400 > 1.2 * 250
     with pytest.raises(ImplausiblePower):
         build_run_record(_profile_with_total(5), DEVICE, trace, RunMeta("w", "dev", 1.0, 1))
+
+
+@pytest.mark.parametrize(
+    "meta", [RunMeta("other", "dev", 1.0, 1), RunMeta("w", "other_dev", 1.0, 1)],
+    ids=["other-workload", "other-device"],
+)
+def test_meta_for_another_run_rejected(meta):
+    trace = PowerTrace(((0.0, 100.0),))
+    with pytest.raises(MismatchedRun, match="other"):
+        build_run_record(_profile_with_total(5), DEVICE, trace, meta)
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [RunMeta("w", "dev", 1.0, 10**400), RunMeta("w", "dev", 1e-320, 1)],
+    ids=["repetitions-overflow-float", "wall-clock-makes-infinite-perf"],
+)
+def test_non_finite_perf_label_rejected(meta):
+    trace = PowerTrace(((0.0, 100.0),))
+    with pytest.raises(UnparsableValue, match="not a finite instructions per second"):
+        build_run_record(_profile_with_total(5), DEVICE, trace, meta)
 
 
 def test_power_bound_skipped_without_tdp():
