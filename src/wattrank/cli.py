@@ -104,10 +104,10 @@ def _cmd_dataset_build(args) -> int:
 def _parse_hidden(text: str) -> list[int] | None:
     if text == "auto":
         return None
-    if text in ("none", ""):
+    if text == "none":
         return []
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:  # an empty item, as in "28,,14" or ",", is a ValueError
+        return [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise WattrankError(f"bad --hidden spec {text!r}") from exc
 
@@ -228,10 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", default=None, help="catalog JSON (default: built-in)")
     p.add_argument("--model", required=True)
     p.add_argument("--objective", default="perf_per_watt",
-                   help="max_perf | min_power | max_perf_per_watt (or perf, power, "
-                        "perf_per_watt)")
+                   help=f"{' | '.join(ranking.OBJECTIVES)} "
+                        f"(or {', '.join(ranking.OBJECTIVE_ALIASES)})")
     p.add_argument("--power-cap", type=float, default=None)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    p.add_argument("--format", choices=ranking.FORMATS, default="table")
     p.set_defaults(func=_cmd_rank)
 
     return parser

@@ -2,9 +2,10 @@
 
 One labeled sample per (workload, device) run: the feature vector is the
 8 instruction-class counts concatenated with the 6 device features, the
-targets are measured watts and instructions/s.  Assembly shuffles with a
-user-visible seed, takes floor(0.7 n) rows for training and the rest for
-validation, and computes z-score statistics on the training split only.
+targets are measured watts and instructions/s.  Assembly shuffles the runs
+(or workloads) with a user-visible seed, keeps each one's samples on one side
+of a cut near floor(0.7 n) training rows (exact when every run is unique),
+and computes z-score statistics on the training split only.
 """
 
 from __future__ import annotations
@@ -188,30 +189,21 @@ class TrainingDataset:
                          for i in indices], dtype=float)
 
 
-def _split_indices(
-    n: int, seed: int, groups: list[str] | None
-) -> tuple[list[int], list[int]]:
-    rng = np.random.default_rng(seed)
-    n_train = (7 * n) // 10
-    if groups is None:
-        perm = rng.permutation(n)
-        return [int(i) for i in perm[:n_train]], [int(i) for i in perm[n_train:]]
-    # Grouped mode keeps all rows of one workload on the same side, so the
-    # 70/30 law only holds approximately: the shuffled groups are cut where
-    # the train side comes nearest to n_train rows (ties go to the larger
-    # train side), leaving at least one group on each side.
-    unique = sorted(set(groups))
-    if len(unique) < 2:
-        raise WattrankError(
-            f"a grouped split needs at least 2 workloads, got {len(unique)}"
-        )
-    blocks = [
-        [i for i, g in enumerate(groups) if g == unique[position]]
-        for position in rng.permutation(len(unique))
-    ]
-    sizes = np.cumsum([len(b) for b in blocks])
-    cut = min(range(1, len(blocks)), key=lambda k: (abs(sizes[k - 1] - n_train), -k))
-    return [i for b in blocks[:cut] for i in b], [i for b in blocks[cut:] for i in b]
+def _split_indices(seed: int, groups: list) -> tuple[list[int], list[int]]:
+    """Shuffle the sorted groups by ``seed`` and cut them where the train side
+    comes nearest to floor(0.7 n) rows (ties go to the larger train side),
+    leaving at least one group on each side."""
+    blocks: dict = {}
+    for i, g in enumerate(groups):
+        blocks.setdefault(g, []).append(i)
+    if len(blocks) < 2:
+        raise WattrankError(f"a split needs at least 2 runs or workloads, got {len(blocks)}")
+    keys = sorted(blocks)
+    shuffled = [blocks[keys[p]] for p in np.random.default_rng(seed).permutation(len(keys))]
+    n_train = (7 * len(groups)) // 10
+    sizes = np.cumsum([len(b) for b in shuffled]).tolist()
+    cut = min(range(1, len(shuffled)), key=lambda k: (abs(sizes[k - 1] - n_train), -k))
+    return [i for b in shuffled[:cut] for i in b], [i for b in shuffled[cut:] for i in b]
 
 
 def assemble(
@@ -221,7 +213,8 @@ def assemble(
 
     Raises :class:`TooFewSamples` below n=3,
     :class:`InconsistentFeatureLength` if rows disagree on feature count, and
-    :class:`WattrankError` when a grouped split has fewer than 2 workloads.
+    :class:`WattrankError` when the samples hold fewer than 2 runs (2
+    workloads with ``group_by_workload``).
     """
     n = len(samples)
     if n < 3:
@@ -234,8 +227,13 @@ def assemble(
                 f"has {sample.features.shape}"
             )
 
-    groups = [s.workload_id for s in samples] if group_by_workload else None
-    train_idx, val_idx = _split_indices(n, seed, groups)
+    if group_by_workload:
+        groups = [s.workload_id for s in samples]
+    else:  # a run is the index of its first sample, so replicates stay together
+        first: dict = {}
+        groups = [first.setdefault((s.workload_id, s.device_name), i)
+                  for i, s in enumerate(samples)]
+    train_idx, val_idx = _split_indices(seed, groups)
 
     X = np.stack([samples[i].features for i in train_idx])
     Y = np.array([[samples[i].power_w, samples[i].perf_ips] for i in train_idx])

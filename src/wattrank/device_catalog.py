@@ -22,8 +22,10 @@ from .json_types import json_loads, json_value
 
 
 class SchemaError(WattrankError):
-    def __init__(self, field: str, record: str):
-        super().__init__(f"catalog record {record!r}: bad or missing field {field!r}")
+    def __init__(self, field: str, record: str, message: str | None = None):
+        super().__init__(
+            message or f"catalog record {record!r}: bad or missing field {field!r}"
+        )
         self.field = field
         self.record = record
 
@@ -142,7 +144,8 @@ def find_device(catalog: list[DeviceSpec], name: str) -> DeviceSpec:
     for spec in catalog:
         if spec.name == name:
             return spec
-    raise SchemaError("name", name)
+    names = ", ".join(repr(spec.name) for spec in catalog)
+    raise SchemaError("name", name, f"device {name!r} is not in the catalog ({names})")
 
 
 def device_to_features(d: DeviceSpec) -> np.ndarray:

@@ -77,50 +77,36 @@ class PtxDocument:
     fragment_count: int  # unterminated trailing text
 
 
-def _split_operands(text: str, line: int) -> tuple[str, ...]:
-    """Split operand text on top-level commas, respecting (), [] and {}.
-
-    A line break between two tokens of one top-level operand means a missing
-    ``;`` (``mov.u32 %r1, %r2⏎add.u32 ...``), so it raises; one next to a
-    comma or inside brackets is whitespace.
-    """
-    operands: list[str] = []
+def _has_operands(text: str, line: int) -> bool:
+    """Whether operand text holds an operand; raises :class:`MalformedInstruction`
+    at ``line`` on unbalanced (), [] or {}, an empty operand, or a line break
+    between two tokens of one top-level operand, the sign of a missing ``;``
+    (``mov.u32 %r1, %r2⏎add.u32 ...``).  One next to a comma or inside
+    brackets is whitespace."""
     depth = 0
-    current: list[str] = []
+    comma = empty = token = newline = broken = False
     for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-            if depth < 0:
-                raise MalformedInstruction(line, f"unbalanced {ch!r} in operands")
-        if ch == "," and depth == 0:
-            operands.append("".join(current).strip())
-            current = []
+        if ch.isspace():
+            newline = newline or (ch == "\n" and depth == 0 and token)
+        elif ch == "," and depth == 0:
+            comma, empty, token, newline = True, empty or not token, False, False
         else:
-            current.append(ch)
+            if ch in "([{":
+                depth += 1
+            elif ch in ")]}":
+                depth -= 1
+                if depth < 0:
+                    raise MalformedInstruction(line, f"unbalanced {ch!r} in operands")
+            token, broken = True, broken or newline
     if depth != 0:
         raise MalformedInstruction(line, "unbalanced brackets in operands")
-    operands.append("".join(current).strip())
-    if operands == [""]:
-        return ()
-    if any(not op for op in operands):
+    if not (comma or token):
+        return False
+    if empty or not token:
         raise MalformedInstruction(line, "empty operand")
-    if "\n" in text and any(map(_breaks_at_top_level, operands)):
+    if broken:
         raise MalformedInstruction(line, "line break inside an operand (missing ';'?)")
-    return tuple(operands)
-
-
-def _breaks_at_top_level(operand: str) -> bool:
-    depth = 0
-    for ch in operand:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "\n" and depth == 0:
-            return True
-    return False
+    return True
 
 
 def _parse_instruction(stmt: str, line: int) -> str:
@@ -140,7 +126,7 @@ def _parse_instruction(stmt: str, line: int) -> str:
     if not pieces:
         raise MalformedInstruction(line, "empty opcode")
     root = pieces[0]
-    if _split_operands(rest[0] if rest else "", line) and root in OPERANDLESS_ROOTS:
+    if _has_operands(rest[0] if rest else "", line) and root in OPERANDLESS_ROOTS:
         raise MalformedInstruction(line, f"{root!r} takes no operands (missing ';'?)")
     return root
 

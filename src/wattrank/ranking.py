@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .device_catalog import DeviceSpec
 from .errors import WattrankError
@@ -21,7 +23,14 @@ class AllDevicesExcluded(WattrankError):
     pass
 
 
-OBJECTIVES = ("max_perf", "min_power", "max_perf_per_watt")
+#: Each objective's score of a prediction; the highest score ranks first.  A
+#: clamped zero-power prediction has infinite perf per watt.
+_SCORES = {
+    "max_perf": lambda p: p.perf_ips,
+    "min_power": lambda p: -p.power_w,
+    "max_perf_per_watt": lambda p: p.perf_ips / p.power_w if p.power_w > 0 else math.inf,
+}
+OBJECTIVES = tuple(_SCORES)
 
 # CLI-friendly spellings.
 OBJECTIVE_ALIASES = {
@@ -57,15 +66,6 @@ def resolve_objective(name: str) -> str:
     return canonical
 
 
-def _score(pred: Prediction, objective: str) -> float:
-    if objective == "max_perf":
-        return pred.perf_ips
-    if objective == "min_power":
-        return -pred.power_w
-    # perf per watt; a clamped zero-power prediction dominates trivially
-    return pred.perf_ips / pred.power_w if pred.power_w > 0 else math.inf
-
-
 def rank_predictions(
     predictions: list[Prediction],
     objective: str = "max_perf_per_watt",
@@ -78,37 +78,25 @@ def rank_predictions(
     survives the cap.  A NaN cap, which no power exceeds, is rejected.
     """
     objective = resolve_objective(objective)
+    score = _SCORES[objective]
     if power_cap_w is not None and math.isnan(power_cap_w):
         raise WattrankError("power cap must be a number, got nan")
     if not predictions:
         raise EmptyCatalog("no devices to rank")
 
-    kept = []
-    excluded = []
-    for pred in predictions:
-        if power_cap_w is not None and pred.power_w > power_cap_w:
-            excluded.append(pred)
-        else:
-            kept.append(pred)
+    cap = math.inf if power_cap_w is None else power_cap_w
+    excluded = sorted((p for p in predictions if p.power_w > cap), key=lambda p: p.device_name)
+    kept = [p for p in predictions if not p.power_w > cap]
     if not kept:
         raise AllDevicesExcluded(
             f"power cap {power_cap_w} W excludes every device"
         )
 
-    ordered = sorted(
-        kept, key=lambda p: (-_score(p, objective), p.device_name)
-    )
+    kept.sort(key=lambda p: (-score(p), p.device_name))
     entries = [
-        RankingEntry(
-            device_name=p.device_name,
-            power_w=p.power_w,
-            perf_ips=p.perf_ips,
-            objective_score=_score(p, objective),
-            rank=position,
-        )
-        for position, p in enumerate(ordered, start=1)
+        RankingEntry(p.device_name, p.power_w, p.perf_ips, score(p), rank)
+        for rank, p in enumerate(kept, start=1)
     ]
-    excluded.sort(key=lambda p: p.device_name)
     return RankingResult(
         entries=entries,
         excluded=excluded,
@@ -125,72 +113,78 @@ def rank_devices(
     power_cap_w: float | None = None,
 ) -> RankingResult:
     """Predict power/performance per cataloged device and rank them."""
-    if not catalog:
-        raise EmptyCatalog("device catalog is empty")
     predictions = [predict(model, profile, device) for device in catalog]
     return rank_predictions(predictions, objective, power_cap_w)
 
 
-CSV_HEADER = "rank,device,power_w,perf_ips,score"
+#: Each column of the JSON and CSV reports: key (and CSV header), the
+#: :class:`RankingEntry` attribute it holds and its JSON kind.  An excluded
+#: device has the columns that a :class:`Prediction` has.
+_COLUMNS = (
+    ("rank", "rank", int),
+    ("device", "device_name", str),
+    ("power_w", "power_w", float),
+    ("perf_ips", "perf_ips", float),
+    ("score", "objective_score", float),
+)
+_EXCLUDED_COLUMNS = tuple(
+    column for column in _COLUMNS if column[1] in {f.name for f in fields(Prediction)}
+)
+CSV_HEADER = ",".join(key for key, _, _ in _COLUMNS)
+
+
+def _row(item, columns) -> dict:
+    return {key: getattr(item, attr) for key, attr, _ in columns}
+
+
+def _json_report(result: RankingResult) -> str:
+    return json.dumps(
+        {
+            "objective": result.objective,
+            "power_cap_w": result.power_cap_w,
+            "entries": [_row(e, _COLUMNS) for e in result.entries],
+            "excluded": [_row(p, _EXCLUDED_COLUMNS) for p in result.excluded],
+        },
+        indent=2,
+    )
+
+
+def _csv_report(result: RankingResult) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(key for key, _, _ in _COLUMNS)
+    writer.writerows(_row(e, _COLUMNS).values() for e in result.entries)
+    return out.getvalue()
+
+
+def _table_report(result: RankingResult) -> str:
+    cap = "" if result.power_cap_w is None else f"   power cap: {result.power_cap_w} W"
+    lines = [
+        f"objective: {result.objective}{cap}",
+        f"{'rank':>4}  {'device':<12} {'power_w':>10} {'perf_ips':>14} {'score':>14}",
+    ]
+    for e in result.entries:
+        lines.append(
+            f"{e.rank:>4}  {e.device_name:<12} {e.power_w:>10.2f} "
+            f"{e.perf_ips:>14.4g} {e.objective_score:>14.6g}"
+        )
+    if result.excluded:
+        lines.append(f"excluded by power cap ({result.power_cap_w} W):")
+        for p in result.excluded:
+            lines.append(f"      {p.device_name:<12} predicted {p.power_w:.2f} W")
+    return "\n".join(lines) + "\n"
+
+
+_REPORTS = {"table": _table_report, "json": _json_report, "csv": _csv_report}
+FORMATS = tuple(_REPORTS)
 
 
 def report(result: RankingResult, format: str = "table") -> str:
-    """Render a ranking as a table, JSON document, or CSV text."""
-    if format == "json":
-        return json.dumps(
-            {
-                "objective": result.objective,
-                "power_cap_w": result.power_cap_w,
-                "entries": [
-                    {
-                        "rank": e.rank,
-                        "device": e.device_name,
-                        "power_w": e.power_w,
-                        "perf_ips": e.perf_ips,
-                        "score": e.objective_score,
-                    }
-                    for e in result.entries
-                ],
-                "excluded": [
-                    {
-                        "device": p.device_name,
-                        "power_w": p.power_w,
-                        "perf_ips": p.perf_ips,
-                    }
-                    for p in result.excluded
-                ],
-            },
-            indent=2,
-        )
-    if format == "csv":
-        lines = [CSV_HEADER]
-        for e in result.entries:
-            lines.append(
-                f"{e.rank},{e.device_name},{e.power_w!r},{e.perf_ips!r},"
-                f"{e.objective_score!r}"
-            )
-        return "\n".join(lines) + "\n"
-    if format == "table":
-        lines = [
-            f"objective: {result.objective}"
-            + (
-                f"   power cap: {result.power_cap_w} W"
-                if result.power_cap_w is not None
-                else ""
-            ),
-            f"{'rank':>4}  {'device':<12} {'power_w':>10} {'perf_ips':>14} {'score':>14}",
-        ]
-        for e in result.entries:
-            lines.append(
-                f"{e.rank:>4}  {e.device_name:<12} {e.power_w:>10.2f} "
-                f"{e.perf_ips:>14.4g} {e.objective_score:>14.6g}"
-            )
-        if result.excluded:
-            lines.append(f"excluded by power cap ({result.power_cap_w} W):")
-            for p in result.excluded:
-                lines.append(f"      {p.device_name:<12} predicted {p.power_w:.2f} W")
-        return "\n".join(lines) + "\n"
-    raise WattrankError(f"unknown report format {format!r}")
+    """Render a ranking as a table, JSON document, or CSV text (quoted by
+    :mod:`csv`)."""
+    if format not in _REPORTS:
+        raise WattrankError(f"unknown report format {format!r}")
+    return _REPORTS[format](result)
 
 
 def parse_report_json(text: str) -> RankingResult:
@@ -202,23 +196,9 @@ def parse_report_json(text: str) -> RankingResult:
     """
     try:
         doc = json_loads(text)
-        entries = [
-            RankingEntry(
-                device_name=json_value(e["device"], str),
-                power_w=json_value(e["power_w"], float),
-                perf_ips=json_value(e["perf_ips"], float),
-                objective_score=json_value(e["score"], float),
-                rank=json_value(e["rank"], int),
-            )
-            for e in doc["entries"]
-        ]
+        entries = [RankingEntry(**_read(e, _COLUMNS)) for e in doc["entries"]]
         excluded = [
-            Prediction(
-                power_w=json_value(p["power_w"], float),
-                perf_ips=json_value(p["perf_ips"], float),
-                device_name=json_value(p["device"], str),
-                workload_id="",
-            )
+            Prediction(**_read(p, _EXCLUDED_COLUMNS), workload_id="")
             for p in doc["excluded"]
         ]
         cap = doc["power_cap_w"]
@@ -230,3 +210,8 @@ def parse_report_json(text: str) -> RankingResult:
         )
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise WattrankError(f"not a ranking report: {exc!r}") from exc
+
+
+def _read(row: dict, columns) -> dict:
+    """``row``'s columns as attribute values, each read by its JSON kind."""
+    return {attr: json_value(row[key], kind) for key, attr, kind in columns}

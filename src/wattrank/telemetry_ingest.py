@@ -28,8 +28,11 @@ class MissingColumn(WattrankError):
 
 
 class UnparsableValue(WattrankError):
-    def __init__(self, row: int, detail: str):
-        super().__init__(f"row {row}: {detail}")
+    """A value that does not parse, in a CSV ``row`` or (``row`` None) in run
+    metadata."""
+
+    def __init__(self, row: int | None, detail: str):
+        super().__init__(detail if row is None else f"row {row}: {detail}")
         self.row = row
 
 
@@ -232,20 +235,22 @@ def load_run_meta(path) -> RunMeta:
             wall_clock_s=json_value(doc["wall_clock_s"], float),
             repetitions=doc.get("repetitions", 1),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UnparsableValue(0, f"bad run metadata {path}: {exc}") from exc
+    except KeyError as exc:
+        raise UnparsableValue(None, f"run metadata {path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UnparsableValue(None, f"bad run metadata {path}: {exc}") from exc
     _check_meta(meta)
     return meta
 
 
 def _check_meta(meta: RunMeta) -> None:
     if not math.isfinite(meta.wall_clock_s):
-        raise UnparsableValue(0, f"wall_clock_s must be finite, got {meta.wall_clock_s}")
+        raise UnparsableValue(None, f"wall_clock_s must be finite, got {meta.wall_clock_s}")
     if meta.wall_clock_s <= 0:
         raise NonPositiveDuration(f"wall_clock_s = {meta.wall_clock_s}")
     if type(meta.repetitions) is not int or meta.repetitions < 1:
         raise UnparsableValue(
-            0, f"repetitions must be an integer >= 1, got {meta.repetitions!r}"
+            None, f"repetitions must be an integer >= 1, got {meta.repetitions!r}"
         )
 
 
@@ -279,7 +284,7 @@ def build_run_record(
         perf_ips = math.inf
     if not math.isfinite(perf_ips):
         raise UnparsableValue(
-            0, f"{profile.total} instructions x {meta.repetitions} repetitions / "
+            None, f"{profile.total} instructions x {meta.repetitions} repetitions / "
             f"{meta.wall_clock_s} s is not a finite instructions per second"
         )
     return RunRecord(

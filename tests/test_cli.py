@@ -181,10 +181,13 @@ def test_train_with_feature_selection(workflow, tmp_path, capsys):
     [["--select-threshold", "1.5"], ["--select-threshold", "nan"], ["--hidden", "-3"],
      ["--hidden", "0"], ["--epochs", "0"], ["--epochs", "-5"], ["--lr", "0"],
      ["--lr", "-0.01"], ["--lr", "nan"], ["--lr", "inf"], ["--patience", "0"],
-     ["--patience", "-1"]],
+     ["--patience", "-1"], ["--hidden", ","], ["--hidden", " "], ["--hidden", ",,"],
+     ["--hidden", ""], ["--hidden", "28,,14"], ["--hidden", "28,"], ["--hidden", "2.5"]],
     ids=["threshold-1.5", "threshold-nan", "hidden-negative", "hidden-zero",
          "epochs-zero", "epochs-negative", "lr-zero", "lr-negative", "lr-nan", "lr-inf",
-         "patience-zero", "patience-negative"],
+         "patience-zero", "patience-negative", "hidden-comma", "hidden-space",
+         "hidden-commas", "hidden-empty", "hidden-empty-item", "hidden-trailing-comma",
+         "hidden-fraction"],
 )
 def test_train_rejects_bad_arguments(workflow, tmp_path, capsys, flags):
     prefix, out = tmp_path / "ds", tmp_path / "m.json"
@@ -257,6 +260,26 @@ def test_ingest_of_bad_meta_or_profile_exits_one(workflow, tmp_path, capsys, whi
                  "--out", str(tmp_path / "sample.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "sample.json").exists()
+
+
+@pytest.mark.parametrize(
+    "change,named,blamed",
+    [
+        (lambda d: d.update(device_name="A100"), ["'A100'", "V100", "2080Ti", "1080Ti"],
+         "field 'name'"),
+        (lambda d: d.pop("wall_clock_s"), ["missing", "'wall_clock_s'"], "row 0"),
+    ],
+    ids=["absent-device", "no-wall-clock"],
+)
+def test_ingest_error_names_the_bad_input(workflow, tmp_path, capsys, change, named, blamed):
+    meta = tmp_path / "meta.json"
+    meta.write_text(_edit_json(change)((workflow / "run0.meta.json").read_text()))
+    assert main(["ingest", "--power", str(workflow / "run0.csv"), "--meta", str(meta),
+                 "--profile", str(workflow / "cnn_000.profile.json"),
+                 "--out", str(tmp_path / "sample.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and blamed not in err
+    assert all(text in err for text in named), err
 
 
 def test_ingest_reports_dropped_zero_watt_rows(workflow, tmp_path, capsys):

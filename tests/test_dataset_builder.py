@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wattrank import synthetic
 from wattrank.dataset_builder import (
     InconsistentFeatureLength,
     LabeledSample,
@@ -164,6 +166,49 @@ def test_inconsistent_feature_length():
     bad = LabeledSample("w", "d", np.zeros(7), 1.0, 1.0)
     with pytest.raises(InconsistentFeatureLength):
         assemble(samples + [bad])
+
+
+def _plain_split(n, seed):
+    """The split of rows that are all distinct runs: a shuffle cut at
+    floor(0.7 n)."""
+    perm = np.random.default_rng(seed).permutation(n)
+    n_train = (7 * n) // 10
+    return [int(i) for i in perm[:n_train]], [int(i) for i in perm[n_train:]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**31 - 1])
+def test_unique_runs_split_like_a_plain_shuffle(seed):
+    samples = _random_samples(200)
+    for n in range(3, 201):
+        ds = assemble(samples[:n], seed=seed)
+        assert (ds.train_indices, ds.val_indices) == _plain_split(n, seed)
+
+
+@pytest.fixture(scope="module")
+def replicated():
+    """The 12 runs of one experiment plus replicates of 6 of them."""
+    def samples(seed):
+        config = synthetic.SyntheticConfig(n_workloads=4, seed=seed)
+        return synthetic.ingest_experiment(synthetic.generate(config))
+    return samples(1) + samples(7)[:6]
+
+
+@pytest.mark.parametrize("seed", [42, *range(10)])
+def test_replicate_samples_of_a_run_stay_on_one_side(replicated, seed):
+    ds = assemble(replicated, seed=seed)
+
+    def runs(indices):
+        return {(replicated[i].workload_id, replicated[i].device_name) for i in indices}
+
+    assert not runs(ds.train_indices) & runs(ds.val_indices)
+    assert sorted(ds.train_indices + ds.val_indices) == list(range(18))
+
+
+def test_split_needs_two_runs():
+    samples = _random_samples(3)
+    one_run = [replace(s, workload_id="w", device_name="d") for s in samples]
+    with pytest.raises(WattrankError, match="at least 2 runs"):
+        assemble(one_run)
 
 
 def test_grouped_split_keeps_workloads_together():

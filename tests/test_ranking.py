@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -194,3 +196,84 @@ def test_table_excluded_section_only_when_needed():
 def test_unknown_format_rejected():
     with pytest.raises(Exception):
         report(_result(), "yaml")
+
+
+def _capped_result():
+    """Three ranked devices, one over the cap, and a 0 W one whose perf per
+    watt is infinite."""
+    return rank_predictions(
+        [_pred("V100", 212.5, 3.25e9), _pred("idle", 0.0, 1e8),
+         _pred("2080Ti", 180.0, 2.5e9), _pred("Titan", 320.0, 4e9)],
+        "perf_per_watt",
+        power_cap_w=250.0,
+    )
+
+
+def test_report_texts_golden():
+    result = _capped_result()
+    assert report(result, "table") == (
+        "objective: max_perf_per_watt   power cap: 250.0 W\n"
+        "rank  device          power_w       perf_ips          score\n"
+        "   1  idle               0.00          1e+08            inf\n"
+        "   2  V100             212.50       3.25e+09    1.52941e+07\n"
+        "   3  2080Ti           180.00        2.5e+09    1.38889e+07\n"
+        "excluded by power cap (250.0 W):\n"
+        "      Titan        predicted 320.00 W\n"
+    )
+    assert report(result, "json") == """{
+  "objective": "max_perf_per_watt",
+  "power_cap_w": 250.0,
+  "entries": [
+    {
+      "rank": 1,
+      "device": "idle",
+      "power_w": 0.0,
+      "perf_ips": 100000000.0,
+      "score": Infinity
+    },
+    {
+      "rank": 2,
+      "device": "V100",
+      "power_w": 212.5,
+      "perf_ips": 3250000000.0,
+      "score": 15294117.647058824
+    },
+    {
+      "rank": 3,
+      "device": "2080Ti",
+      "power_w": 180.0,
+      "perf_ips": 2500000000.0,
+      "score": 13888888.888888888
+    }
+  ],
+  "excluded": [
+    {
+      "device": "Titan",
+      "power_w": 320.0,
+      "perf_ips": 4000000000.0
+    }
+  ]
+}"""
+    assert report(result, "csv") == (
+        "rank,device,power_w,perf_ips,score\n"
+        "1,idle,0.0,100000000.0,inf\n"
+        "2,V100,212.5,3250000000.0,15294117.647058824\n"
+        "3,2080Ti,180.0,2500000000.0,13888888.888888888\n"
+    )
+    again = parse_report_json(report(result, "json"))
+    assert again.entries == result.entries
+    assert [(p.device_name, p.power_w, p.perf_ips) for p in again.excluded] == [
+        ("Titan", 320.0, 4e9)
+    ]
+
+
+def test_csv_quotes_device_names():
+    names = ['A100 (40GB, PCIe)', 'say "fast"', 'both, "x"']
+    result = rank_predictions(
+        [_pred(name, 100.0 + i, 1e9) for i, name in enumerate(names)], "max_perf"
+    )
+    rows = list(csv.reader(io.StringIO(report(result, "csv"))))
+    assert rows[0] == CSV_HEADER.split(",")
+    assert [len(row) for row in rows] == [5] * 4
+    assert sorted(row[1] for row in rows[1:]) == sorted(names)
+    assert [row[1] for row in rows[1:]] == [e.device_name for e in result.entries]
