@@ -189,6 +189,18 @@ class TrainingDataset:
                          for i in indices], dtype=float)
 
 
+def train_norm_stats(samples: list[LabeledSample], train_indices) -> NormStats:
+    """Z-score statistics of the ``train_indices`` rows of ``samples``; raises
+    :class:`WattrankError` when one is not finite (a column overflows)."""
+    X = np.stack([samples[i].features for i in train_indices])
+    Y = np.array([[samples[i].power_w, samples[i].perf_ips] for i in train_indices])
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = [X.mean(axis=0), X.std(axis=0), Y.mean(axis=0), Y.std(axis=0)]
+    if not all(np.isfinite(a).all() for a in stats):
+        raise WattrankError("the train rows' means or stds overflow a float")
+    return NormStats(*stats)
+
+
 def _split_indices(seed: int, groups: list) -> tuple[list[int], list[int]]:
     """Shuffle the sorted groups by ``seed`` and cut them where the train side
     comes nearest to floor(0.7 n) rows (ties go to the larger train side),
@@ -214,7 +226,7 @@ def assemble(
     Raises :class:`TooFewSamples` below n=3,
     :class:`InconsistentFeatureLength` if rows disagree on feature count, and
     :class:`WattrankError` when the samples hold fewer than 2 runs (2
-    workloads with ``group_by_workload``).
+    workloads with ``group_by_workload``) or the statistics are not finite.
     """
     n = len(samples)
     if n < 3:
@@ -234,16 +246,8 @@ def assemble(
         groups = [first.setdefault((s.workload_id, s.device_name), i)
                   for i, s in enumerate(samples)]
     train_idx, val_idx = _split_indices(seed, groups)
-
-    X = np.stack([samples[i].features for i in train_idx])
-    Y = np.array([[samples[i].power_w, samples[i].perf_ips] for i in train_idx])
-    return TrainingDataset(
-        samples=list(samples),
-        train_indices=train_idx,
-        val_indices=val_idx,
-        norm=NormStats(X.mean(axis=0), X.std(axis=0), Y.mean(axis=0), Y.std(axis=0)),
-        seed=seed,
-    )
+    return TrainingDataset(list(samples), train_idx, val_idx,
+                           train_norm_stats(samples, train_idx), seed)
 
 
 _TARGET_COLUMN = {"power": 0, "perf": 1}
@@ -294,14 +298,13 @@ def select_features(ds: TrainingDataset, threshold: float) -> TrainingDataset:
 
 
 def save_dataset(ds: TrainingDataset, prefix) -> tuple[Path, Path]:
-    """Write ``<prefix>.csv`` (samples) and ``<prefix>.json`` (split+stats)."""
+    """Write ``<prefix>.csv`` (samples) and ``<prefix>.json`` (seed, split)."""
     prefix = Path(prefix)
     csv_path = prefix.with_suffix(".csv")
     json_path = prefix.with_suffix(".json")
-    names = _column_names(ds.samples[0].features.shape[0])
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_header(len(names)))
+        writer.writerow(_header(ds.samples[0].features.shape[0]))
         for s in ds.samples:
             writer.writerow(
                 [s.workload_id, s.device_name]
@@ -312,8 +315,6 @@ def save_dataset(ds: TrainingDataset, prefix) -> tuple[Path, Path]:
         "seed": ds.seed,
         "train_indices": list(ds.train_indices),
         "val_indices": list(ds.val_indices),
-        "norm_stats": ds.norm.to_dict(),
-        "feature_names": names,
     }
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
@@ -322,15 +323,15 @@ def save_dataset(ds: TrainingDataset, prefix) -> tuple[Path, Path]:
 
 
 def load_dataset(prefix) -> TrainingDataset:
-    """Inverse of :func:`save_dataset`; restores stats without recomputing.
+    """Inverse of :func:`save_dataset`, with :func:`train_norm_stats` of the rows.
 
     A header other than the one :func:`save_dataset` writes for its width
     raises :class:`InconsistentFeatureLength`.  A row whose field count
     differs from the header's, a non-numeric or non-finite cell, or a line
     the CSV reader cannot read raises :class:`UnparsableValue` naming its
     CSV row.  A sidecar whose indices do not split the rows into two
-    non-empty sides, or whose stats are not finite or not as wide as the
-    CSV, raises :class:`CorruptDataset` naming the sidecar.
+    non-empty sides raises :class:`CorruptDataset` naming the sidecar; its
+    other keys (``norm_stats`` in older sidecars, say) are ignored.
     """
     prefix = Path(prefix)
     with open(prefix.with_suffix(".csv"), newline="", encoding="utf-8") as fh:
@@ -361,17 +362,12 @@ def load_dataset(prefix) -> TrainingDataset:
         train_idx, val_idx = sidecar["train_indices"], sidecar["val_indices"]
         indices = [json_value(i, int) for i in (*train_idx, *val_idx)]
         seed = json_value(sidecar["seed"], int)
-        norm = NormStats.from_dict(sidecar["norm_stats"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptDataset(f"{json_path}: not a dataset sidecar: {exc!r}") from exc
-    n, width = len(samples), len(header) - 4
+    n = len(samples)
     if not (train_idx and val_idx and sorted(indices) == list(range(n))):
         raise CorruptDataset(
             f"{json_path}: train_indices and val_indices do not split {n} rows"
         )
-    if norm.feature_means.size != width:
-        raise CorruptDataset(
-            f"{json_path}: norm_stats cover {norm.feature_means.size} features, "
-            f"the CSV has {width}"
-        )
-    return TrainingDataset(samples, train_idx, val_idx, norm, seed)
+    return TrainingDataset(samples, train_idx, val_idx,
+                           train_norm_stats(samples, train_idx), seed)

@@ -68,14 +68,16 @@ DEVICE_FEATURE_NAMES = [
 
 
 def _field_value(raw: dict, field: str, label: str):
-    """``raw[field]`` read by its kind: a name must be non-empty, a number
-    positive and finite as a float."""
+    """``raw[field]`` read by its kind: a name must be non-empty, a device
+    ``name`` printable too, and a number positive and finite as a float."""
     value, kind = raw.get(field), _FIELD_KINDS[field]
     if value is None and field in _OPTIONAL_FIELDS:
         return None
     try:
         value = json_value(value, kind)
-        if kind is str:
+        if field == "name":
+            valid = value != "" and value.isprintable()
+        elif kind is str:
             valid = value != "" or field == "provenance"
         else:
             valid = 0 < json_value(value, float) < math.inf

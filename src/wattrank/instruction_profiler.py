@@ -69,7 +69,10 @@ class InstructionProfile:
 
     workload_id: str
     counts: dict[InstructionClass, int]
-    total: int
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
 
 def classify_opcode(opcode_root: str) -> InstructionClass:
@@ -82,9 +85,7 @@ def profile(doc: PtxDocument, workload_id: str) -> InstructionProfile:
     counts = {cls: 0 for cls in CLASS_ORDER}
     for root, n in Counter(doc.instructions).items():
         counts[classify_opcode(root)] += n
-    return InstructionProfile(
-        workload_id=workload_id, counts=counts, total=len(doc.instructions)
-    )
+    return InstructionProfile(workload_id=workload_id, counts=counts)
 
 
 def profile_to_features(p: InstructionProfile) -> np.ndarray:
@@ -121,4 +122,4 @@ def profile_from_json(text: str) -> InstructionProfile:
         raise InvalidProfile(
             f"counts sum to {sum(counts.values())}, header says {total}"
         )
-    return InstructionProfile(workload_id=workload_id, counts=counts, total=total)
+    return InstructionProfile(workload_id=workload_id, counts=counts)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset_builder import LabeledSample, feature_names, feature_vector, make_sample
 from .device_catalog import DeviceSpec, default_catalog
-from .instruction_profiler import CLASS_ORDER, InstructionClass, profile
+from .instruction_profiler import CLASS_ORDER, InstructionClass, InstructionProfile, profile
 from .ptx_parser import parse_ptx
 from .telemetry_ingest import RunMeta, build_run_record, parse_power_csv_text
 
@@ -145,6 +145,7 @@ def generate(config: SyntheticConfig = SyntheticConfig()) -> SyntheticExperiment
     devices = default_catalog()
 
     kernels: dict[str, str] = {}
+    profiles: list[InstructionProfile] = []
     for w in range(config.n_workloads):
         t = rng.uniform()
         mix = t * _ARCHETYPE_COMPUTE + (1.0 - t) * _ARCHETYPE_MEMORY
@@ -152,12 +153,9 @@ def generate(config: SyntheticConfig = SyntheticConfig()) -> SyntheticExperiment
         counts = {cls: int(round(total * share)) for cls, share in zip(CLASS_ORDER, mix)}
         name = f"cnn_{w:03d}"
         kernels[name] = make_workload_ptx(counts, name, rng)
+        profiles.append(InstructionProfile(name, counts))  # the kernel's profile, exactly
 
-    pairs = [
-        (profile(parse_ptx(ptx_text), name), device)
-        for name, ptx_text in kernels.items()
-        for device in devices
-    ]
+    pairs = [(prof, device) for prof in profiles for device in devices]
     features = np.stack([feature_vector(prof, device) for prof, device in pairs])
 
     def noisy(truth):

@@ -69,6 +69,16 @@ class RunMeta:
     wall_clock_s: float
     repetitions: int = 1
 
+    def __post_init__(self):
+        if not math.isfinite(self.wall_clock_s):
+            raise UnparsableValue(None, f"wall_clock_s must be finite, got {self.wall_clock_s}")
+        if self.wall_clock_s <= 0:
+            raise NonPositiveDuration(f"wall_clock_s = {self.wall_clock_s}")
+        if type(self.repetitions) is not int or self.repetitions < 1:
+            raise UnparsableValue(
+                None, f"repetitions must be an integer >= 1, got {self.repetitions!r}"
+            )
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -229,7 +239,7 @@ def load_run_meta(path) -> RunMeta:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json_loads(fh.read())  # decode errors are ValueErrors
-        meta = RunMeta(
+        return RunMeta(
             workload_id=json_value(doc["workload_id"], str),
             device_name=json_value(doc["device_name"], str),
             wall_clock_s=json_value(doc["wall_clock_s"], float),
@@ -239,19 +249,6 @@ def load_run_meta(path) -> RunMeta:
         raise UnparsableValue(None, f"run metadata {path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise UnparsableValue(None, f"bad run metadata {path}: {exc}") from exc
-    _check_meta(meta)
-    return meta
-
-
-def _check_meta(meta: RunMeta) -> None:
-    if not math.isfinite(meta.wall_clock_s):
-        raise UnparsableValue(None, f"wall_clock_s must be finite, got {meta.wall_clock_s}")
-    if meta.wall_clock_s <= 0:
-        raise NonPositiveDuration(f"wall_clock_s = {meta.wall_clock_s}")
-    if type(meta.repetitions) is not int or meta.repetitions < 1:
-        raise UnparsableValue(
-            None, f"repetitions must be an integer >= 1, got {meta.repetitions!r}"
-        )
 
 
 def build_run_record(
@@ -266,7 +263,6 @@ def build_run_record(
     power is sanity-checked against the device TDP (plus 20% headroom) when
     the catalog knows it, and the instructions per second must be finite.
     """
-    _check_meta(meta)
     if meta.workload_id != profile.workload_id or meta.device_name != device.name:
         raise MismatchedRun(
             f"run metadata is for {meta.workload_id!r} on {meta.device_name!r}, "

@@ -2,15 +2,24 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wattrank
 from wattrank import synthetic
 from wattrank.cli import main
-from wattrank.dataset_builder import CorruptDataset, load_dataset
+from wattrank.dataset_builder import (
+    CorruptDataset,
+    LabeledSample,
+    NormStats,
+    load_dataset,
+    sample_to_json,
+)
 from wattrank.device_catalog import default_catalog, save_catalog
+from wattrank.estimator import init_model, save_model
 from wattrank.instruction_profiler import profile_from_json
 from wattrank.ranking import CSV_HEADER
 
@@ -455,6 +464,20 @@ def nan_catalog(tmp_path):
     return path
 
 
+def test_catalog_name_with_a_carriage_return_exits_one(workflow, tmp_path, capsys):
+    catalog, model = tmp_path / "cr_catalog.json", tmp_path / "model.json"
+    save_catalog([replace(default_catalog()[0], name="a\rb")], catalog)
+    save_model(replace(init_model(14, [], seed=0), norm=NormStats(
+        np.zeros(14), np.ones(14), np.full(2, 100.0), np.ones(2))), model)
+    for argv in (["devices", "list", "--catalog", str(catalog)],
+                 ["rank", "--ptx", str(next(workflow.glob("cnn_*.ptx"))),
+                  "--catalog", str(catalog), "--model", str(model), "--format", "csv"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "'name'" in captured.err
+        assert captured.out == ""
+
+
 def test_devices_list_of_nan_catalog_exits_one(nan_catalog, capsys):
     assert main(["devices", "list", "--catalog", str(nan_catalog)]) == 1
     captured = capsys.readouterr()
@@ -481,18 +504,12 @@ def test_rank_with_nan_catalog_exits_one(workflow, nan_catalog, tmp_path, capsys
     [
         lambda text: text[: len(text) // 2],
         lambda text: f"[{text}]",
-        _edit_json(lambda d: d.pop("norm_stats")),
         _edit_json(lambda d: d.update(train_indices=[999, *d["train_indices"][1:]])),
         _edit_json(lambda d: d["train_indices"].append(d["val_indices"][0])),
         _edit_json(lambda d: d.update(train_indices=[float(i) for i in d["train_indices"]])),
-        _edit_json(lambda d: d["norm_stats"].update(feature_means=[0.0, 0.0, 0.0])),
-        _edit_json(lambda d: d["norm_stats"].update(target_stds=[float("nan"), 1.0])),
-        _edit_json(lambda d: d["norm_stats"]["feature_means"].__setitem__(0, "1.5")),
-        _edit_json(lambda d: d["norm_stats"]["target_stds"].__setitem__(1, True)),
         lambda text: _DEEP_JSON,
     ],
-    ids=["malformed", "list", "no-norm-stats", "index-999", "index-twice",
-         "float-indices", "narrow-stats", "nan-stat", "string-mean", "bool-std", "deep"],
+    ids=["malformed", "list", "index-999", "index-twice", "float-indices", "deep"],
 )
 def test_train_on_corrupt_sidecar_exits_one(workflow, tmp_path, capsys, corrupt):
     prefix = tmp_path / "ds"
@@ -553,6 +570,19 @@ def test_dataset_build_of_coerced_sample_exits_one(workflow, tmp_path, capsys, c
                  "--out", str(tmp_path / "ds")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "ds.csv").exists()
+
+
+def test_dataset_build_whose_statistics_overflow_exits_one(tmp_path, capsys):
+    samples = tmp_path / "samples"
+    samples.mkdir()
+    for i in range(10):
+        (samples / f"s{i}.json").write_text(sample_to_json(LabeledSample(
+            f"w{i}", "V100", np.full(14, 1.0 if i % 2 else 1.7e308), 100.0, 1e9)))
+    assert main(["dataset", "build", "--samples", str(samples),
+                 "--out", str(tmp_path / "ds")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflow" in err
+    assert not (tmp_path / "ds.json").exists()
 
 
 def test_dataset_build_empty_dir_exits_one(tmp_path):

@@ -436,6 +436,60 @@ def test_dataset_save_load_round_trip(tmp_path, corpus_doc):
         assert a.perf_ips == b.perf_ips
 
 
+def _stats(ds, indices):
+    X, Y = ds.feature_matrix(indices), ds.target_matrix(indices)
+    return [X.mean(axis=0), X.std(axis=0), Y.mean(axis=0), Y.std(axis=0)]
+
+
+def _norm_list(norm):
+    return [norm.feature_means, norm.feature_stds, norm.target_means, norm.target_stds]
+
+
+def test_loaded_statistics_come_from_the_csv_rows(tmp_path):
+    """A train-row label edited in the CSV shows in the loaded statistics."""
+    ds = assemble(_random_samples(10, d=14), seed=3)
+    csv_path, json_path = save_dataset(ds, tmp_path / "ds")
+    assert set(json.loads(json_path.read_text())) == {"seed", "train_indices", "val_indices"}
+    lines = csv_path.read_text().splitlines()
+    row = ds.train_indices[0] + 1
+    cells = lines[row].split(",")
+    lines[row] = ",".join([*cells[:-2], "500.0", cells[-1]])
+    csv_path.write_text("\n".join(lines) + "\n")
+
+    loaded = load_dataset(tmp_path / "ds")
+    assert loaded.samples[ds.train_indices[0]].power_w == 500.0
+    assert loaded.norm.target_means[0] != ds.norm.target_means[0]
+    for got, want in zip(_norm_list(loaded.norm), _stats(loaded, loaded.train_indices)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n,seed", [(3, 0), (7, 1), (60, 42)])
+def test_sidecars_with_stored_statistics_load_bit_identically(tmp_path, n, seed):
+    """Sidecars that still carry ``norm_stats`` and ``feature_names`` load,
+    and the recomputed statistics equal the stored ones bit for bit."""
+    ds = assemble(_random_samples(n, d=14, seed=n), seed=seed)
+    _, json_path = save_dataset(ds, tmp_path / "ds")
+    sidecar = {"seed": seed, "train_indices": ds.train_indices,
+               "val_indices": ds.val_indices, "norm_stats": ds.norm.to_dict(),
+               "feature_names": feature_names()}
+    json_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+    loaded = load_dataset(tmp_path / "ds")
+    for got, want in zip(_norm_list(loaded.norm), _norm_list(ds.norm)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_statistics_that_overflow_are_rejected(tmp_path):
+    X = [[1.0 if i % 2 else 1.7e308] * 14 for i in range(10)]
+    samples = _samples(X, [[100.0, 1e9]] * 10)
+    with pytest.raises(WattrankError, match="overflow"):
+        assemble(samples, seed=0)
+    ds = assemble(_samples([[1.0] * 14] * 10, [[100.0, 1e9]] * 10), seed=0)
+    csv_path, _ = save_dataset(ds, tmp_path / "ds")
+    csv_path.write_text(csv_path.read_text().replace(",1.0,", ",1.7e+308,"))
+    with pytest.raises(WattrankError, match="overflow"):
+        load_dataset(tmp_path / "ds")
+
+
 @pytest.mark.parametrize("bad_cell", ["abc", "", "nan", "-inf", None])
 def test_load_dataset_rejects_bad_row_naming_it(tmp_path, bad_cell):
     ds = assemble(_random_samples(6, d=14), seed=1)

@@ -99,6 +99,14 @@ def test_schema_errors(mutate, field):
     assert excinfo.value.field == field
 
 
+@pytest.mark.parametrize("name", ["a\rb", "a\nb", "tab\there", "nul\x00", "\x85"])
+def test_device_names_must_be_printable(name):
+    """A CR in a name is written unquoted in the CSV report and splits its row."""
+    with pytest.raises(SchemaError) as excinfo:
+        parse_catalog(json.dumps([dict(GOOD_RECORD, name=name)]))
+    assert excinfo.value.field == "name"
+
+
 def _catalog_text(field: str, literal: str) -> str:
     """A one-record catalog whose ``field`` holds the JSON text ``literal``."""
     return json.dumps([dict(GOOD_RECORD, **{field: "@@"})]).replace('"@@"', literal)

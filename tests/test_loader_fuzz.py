@@ -182,7 +182,7 @@ def _nested(depth, leaf):
 @pytest.mark.parametrize(
     "name,path",
     [("sample", ["features"]), ("model", ["weights", 0]), ("model", ["norm_stats", "target_stds"]),
-     ("sidecar", ["norm_stats", "feature_means"]), ("catalog", [0, "sm_count"])],
+     ("sidecar", ["train_indices"]), ("catalog", [0, "sm_count"])],
 )
 @pytest.mark.parametrize("depth", [40, 200])
 def test_json_loaders_reject_deep_arrays_that_decode(docs, name, path, depth):

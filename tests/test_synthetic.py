@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wattrank import synthetic
+from wattrank.dataset_builder import feature_vector
 from wattrank.instruction_profiler import CLASS_ORDER, profile
 from wattrank.ptx_parser import parse_ptx
 
@@ -28,6 +29,32 @@ def test_generate_is_deterministic_in_seed(seed):
     assert synthetic.generate(config) == synthetic.generate(config)
     other = synthetic.generate(synthetic.SyntheticConfig(n_workloads=4, seed=seed + 1))
     assert other.kernels != synthetic.generate(config).kernels
+
+
+def test_generated_features_are_those_of_the_parsed_kernels(monkeypatch):
+    """Each pair's features, from which ``generate`` plants the labels, equal
+    those of its kernel through the parser."""
+    pairs = []
+
+    def recording(prof, device):
+        pairs.append((prof.workload_id, device, feature_vector(prof, device)))
+        return pairs[-1][2]
+
+    monkeypatch.setattr(synthetic, "feature_vector", recording)
+    experiment = synthetic.generate(synthetic.SyntheticConfig(n_workloads=6, seed=2))
+    assert [(name, device.name) for name, device, _ in pairs] == [
+        (run.meta.workload_id, run.meta.device_name) for run in experiment.runs]
+    for name, device, features in pairs:
+        parsed = profile(parse_ptx(experiment.kernels[name]), name)
+        np.testing.assert_array_equal(features, feature_vector(parsed, device))
+
+
+def test_generate_does_not_parse(monkeypatch):
+    def fail(text):
+        raise AssertionError("generate parsed a kernel")
+
+    monkeypatch.setattr(synthetic, "parse_ptx", fail)
+    synthetic.generate(synthetic.SyntheticConfig(n_workloads=3, seed=1))
 
 
 def test_kernels_hold_each_workload_once_and_runs_each_pair_once():

@@ -326,6 +326,17 @@ def test_nonpositive_duration_rejected():
         build_run_record(_profile_with_total(5), DEVICE, trace, RunMeta("w", "dev", 0.0, 1))
 
 
+@pytest.mark.parametrize(
+    "args,error",
+    [((1.0, 2.5), UnparsableValue), ((1.0, True), UnparsableValue), ((1.0, 0), UnparsableValue),
+     ((float("nan"), 1), UnparsableValue), ((float("inf"), 1), UnparsableValue),
+     ((-1.0, 1), NonPositiveDuration)],
+)
+def test_run_meta_is_checked_when_built(args, error):
+    with pytest.raises(error):
+        RunMeta("w", "d", *args)
+
+
 def test_empty_trace_propagates():
     with pytest.raises(EmptyTrace):
         build_run_record(
