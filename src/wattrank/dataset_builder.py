@@ -331,10 +331,13 @@ def load_dataset(prefix) -> TrainingDataset:
     the CSV reader cannot read raises :class:`UnparsableValue` naming its
     CSV row.  A sidecar whose indices do not split the rows into two
     non-empty sides raises :class:`CorruptDataset` naming the sidecar; its
-    other keys (``norm_stats`` in older sidecars, say) are ignored.
+    other keys (``norm_stats`` in older sidecars, say) are ignored.  Train
+    rows whose statistics overflow a float raise :class:`WattrankError`
+    naming the CSV.
     """
     prefix = Path(prefix)
-    with open(prefix.with_suffix(".csv"), newline="", encoding="utf-8") as fh:
+    csv_path = prefix.with_suffix(".csv")
+    with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv_rows(fh)
         header = next(reader, [])
         if header != _header(len(header) - 4):
@@ -369,5 +372,8 @@ def load_dataset(prefix) -> TrainingDataset:
         raise CorruptDataset(
             f"{json_path}: train_indices and val_indices do not split {n} rows"
         )
-    return TrainingDataset(samples, train_idx, val_idx,
-                           train_norm_stats(samples, train_idx), seed)
+    try:
+        norm = train_norm_stats(samples, train_idx)
+    except WattrankError as exc:
+        raise WattrankError(f"{csv_path}: {exc}") from exc
+    return TrainingDataset(samples, train_idx, val_idx, norm, seed)

@@ -5,7 +5,9 @@ nvidia-smi writes one CSV row per sampling interval (1 s by default) with a
 the arithmetic mean over all samples.  The performance label is derived from
 the workload's static instruction count: instructions-per-second =
 static count x inference repetitions / wall-clock seconds, with the
-repetition count supplied by the run metadata file.
+repetition count supplied by the run metadata file.  No label reads a time,
+so the log's timestamp column is not read: kept rows are placed
+:data:`SAMPLE_INTERVAL_S` apart.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from dataclasses import dataclass
-from datetime import datetime
 
 from .device_catalog import DeviceSpec
 from .errors import WattrankError
@@ -55,8 +55,9 @@ class MismatchedRun(WattrankError):
 
 @dataclass(frozen=True)
 class PowerTrace:
-    """Sampled power draw: (timestamp-or-index, watts) pairs in file order,
-    and how many 0 W rows the parser dropped."""
+    """Sampled power draw: (seconds, watts) pairs in file order, and how many
+    0 W rows the parser dropped.  A parsed log's seconds are the kept row's
+    index times :data:`SAMPLE_INTERVAL_S`."""
 
     samples: tuple[tuple[float, float], ...]
     zero_w_dropped: int = 0
@@ -93,43 +94,6 @@ class RunRecord:
 #: nvidia-smi's default sampling interval, in seconds.
 SAMPLE_INTERVAL_S = 1.0
 
-_TIMESTAMP_FORMATS = ("%Y/%m/%d %H:%M:%S.%f", "%Y/%m/%d %H:%M:%S")
-# nvidia-smi's own shape, on which fromisoformat agrees with strptime.
-_NVIDIA_SMI_TIMESTAMP_RE = re.compile(
-    r"\d{4}/\d{2}/\d{2} \d{2}:\d{2}:\d{2}(?:\.\d{1,6})?", re.ASCII
-)
-
-
-def _parse_timestamp(raw: str) -> float | None:
-    """Seconds as a float, or ``None`` when ``raw`` is no timestamp.
-
-    nvidia-smi's ``YYYY/MM/DD HH:MM:SS[.ffffff]`` is read first, by
-    ``fromisoformat``, ~10x faster than ``strptime``; such a string is never
-    a number, so reading it before ``float`` changes no result.  Any other
-    text, and any such string that ``fromisoformat`` rejects, is tried as a
-    bare number, then by ``strptime`` with :data:`_TIMESTAMP_FORMATS`, then
-    by ``fromisoformat``.
-    """
-    raw = raw.strip()
-    if _NVIDIA_SMI_TIMESTAMP_RE.fullmatch(raw):
-        try:
-            return datetime.fromisoformat(raw.replace("/", "-")).timestamp()
-        except ValueError:
-            pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    for fmt in _TIMESTAMP_FORMATS:
-        try:
-            return datetime.strptime(raw, fmt).timestamp()
-        except ValueError:
-            continue
-    try:
-        return datetime.fromisoformat(raw).timestamp()
-    except ValueError:
-        return None
-
 
 def _parse_watts(raw: str, row: int) -> float:
     text = raw.strip()
@@ -155,13 +119,13 @@ def csv_rows(lines):
 
 
 def parse_power_csv_text(text: str) -> PowerTrace:
-    """When no row has a parsable timestamp, each row is stamped with its
-    sample index times :data:`SAMPLE_INTERVAL_S`.  Rows that read exactly 0 W
-    are dropped and counted in :attr:`PowerTrace.zero_w_dropped`.  A
-    timestamp that is not finite or decreases, or a log in which some rows'
-    timestamps parse and others' do not, raises :class:`UnparsableValue`
-    naming the first row that breaks the rule.  Lines end as in a file read
-    in text mode: at LF, CRLF or a lone CR."""
+    """Read the ``power.draw`` column; no other column, the timestamp
+    included, is read.  Each kept row is stamped with its index among the
+    kept rows times :data:`SAMPLE_INTERVAL_S`.  Rows that read exactly 0 W
+    are dropped and counted in :attr:`PowerTrace.zero_w_dropped`.  A row
+    whose power field is missing or does not parse (a repeated header row,
+    say) raises :class:`UnparsableValue` naming the row.  Lines end as in a
+    file read in text mode: at LF, CRLF or a lone CR."""
     reader = csv_rows(io.StringIO(text, newline=None))
     try:
         header = next(reader)
@@ -169,20 +133,15 @@ def parse_power_csv_text(text: str) -> PowerTrace:
         raise MissingColumn("empty file: no header row") from None
 
     power_col = None
-    time_col = None
     for index, column in enumerate(header):
-        name = column.strip().lower()
-        if "power.draw" in name and power_col is None:
+        if "power.draw" in column.lower():
             power_col = index
-        if "timestamp" in name and time_col is None:
-            time_col = index
+            break
     if power_col is None:
         raise MissingColumn(f"no column matching 'power.draw' in header {header!r}")
 
     samples: list[tuple[float, float]] = []
     zero_w_dropped = 0
-    last_ts = -math.inf
-    index_stamped = None  # whether rows get index stamps; the first sample decides
     for row_number, row in enumerate(reader, start=2):
         if not any(map(str.strip, row)):
             continue
@@ -193,20 +152,7 @@ def parse_power_csv_text(text: str) -> PowerTrace:
             # A powered GPU never reads exactly 0 W; treat as sensor glitch.
             zero_w_dropped += 1
             continue
-        timestamp = None
-        if time_col is not None and time_col < len(row):
-            timestamp = _parse_timestamp(row[time_col])
-        if (timestamp is None) is not index_stamped:
-            if samples:
-                parses = "does not parse" if timestamp is None else "parses"
-                raise UnparsableValue(row_number, f"timestamp {parses}, unlike earlier rows'")
-            index_stamped = timestamp is None
-        if index_stamped:
-            timestamp = float(len(samples)) * SAMPLE_INTERVAL_S
-        if not (math.isfinite(timestamp) and timestamp >= last_ts):
-            raise UnparsableValue(row_number, f"timestamp {timestamp} is not finite or fell")
-        last_ts = timestamp
-        samples.append((timestamp, watts))
+        samples.append((len(samples) * SAMPLE_INTERVAL_S, watts))
 
     if not samples:
         raise EmptyTrace("no power samples in file")
@@ -217,13 +163,6 @@ def parse_power_csv(path) -> PowerTrace:
     """Parse an nvidia-smi power log; see :func:`parse_power_csv_text`."""
     with open(path, encoding="utf-8") as fh:
         return parse_power_csv_text(fh.read())
-
-
-def trace_to_csv(trace: PowerTrace) -> str:
-    """Serialize a trace back to CSV; re-parsing reproduces the samples."""
-    lines = ["timestamp, power.draw [W]"]
-    lines.extend(f"{ts!r}, {watts!r} W" for ts, watts in trace.samples)
-    return "\n".join(lines) + "\n"
 
 
 def mean_power(trace: PowerTrace) -> float:

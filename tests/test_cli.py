@@ -306,41 +306,6 @@ def test_ingest_reports_dropped_zero_watt_rows(workflow, tmp_path, capsys):
     assert "150.00 W" in out and "(3 0 W rows dropped)" in out
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_ingest_of_non_finite_timestamp_exits_one(workflow, tmp_path, capsys, bad):
-    power = tmp_path / "power.csv"
-    power.write_text("timestamp, power.draw [W]\n5, 150.00 W\n"
-                     f"{bad}, 150.00 W\n3, 150.00 W\n")
-    capsys.readouterr()
-    assert main(["ingest", "--power", str(power),
-                 "--meta", str(workflow / "run0.meta.json"),
-                 "--profile", str(workflow / "cnn_000.profile.json"),
-                 "--out", str(tmp_path / "sample.json")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "row 3" in err and "Traceback" not in err
-    assert not (tmp_path / "sample.json").exists()
-
-
-@pytest.mark.parametrize(
-    "stamps",
-    [["2021/03/01 10:00:00", "2021/03/01 10:00:01", "10:00:02"],
-     ["x", "2021/03/01 10:00:01"]],
-    ids=["unreadable-after-parsed", "parsed-after-unreadable"],
-)
-def test_ingest_of_mixed_timestamps_exits_one(workflow, tmp_path, capsys, stamps):
-    power = tmp_path / "power.csv"
-    power.write_text("timestamp, power.draw [W]\n"
-                     + "".join(f"{ts}, 150.00 W\n" for ts in stamps))
-    capsys.readouterr()
-    assert main(["ingest", "--power", str(power),
-                 "--meta", str(workflow / "run0.meta.json"),
-                 "--profile", str(workflow / "cnn_000.profile.json"),
-                 "--out", str(tmp_path / "sample.json")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: row {len(stamps) + 1}: timestamp") and "parse" in err
-    assert not (tmp_path / "sample.json").exists()
-
-
 _NOT_UTF8 = b"\xff\xfe\x00b\x00a\x00d\x00"
 _DEEP_JSON = "[" * 100000  # nested deeper than the JSON decoder can follow
 _LONG_FIELD = "1" * 140000  # longer than the CSV reader's field size limit
