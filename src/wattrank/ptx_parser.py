@@ -5,15 +5,16 @@ Comments (``//`` and ``/* */``) are stripped, then one regex pass splits
 the text into statements.  As in the PTX ISA, newlines are whitespace, so
 nvcc's multi-line ``.extern .func`` declarations and ``call`` statements
 are single statements.  Braces, labels and directives are counted and
-skipped (``.version``, ``.target``, ``.address_size``, ``.file`` and
-``.loc`` end at the line, other directives at ``;`` or before a body
-``{``).  Trailing text with no ``;`` is counted as an unterminated
-fragment.  Every other statement is an instruction, and a document keeps
-only its opcode root, which is all that profiling reads.  The statements
-whose shape the regex cannot vouch for, and those whose opcode takes no
-operands, are checked in full (guard, opcode, operands), and lines are
-counted up to just those, so a malformed one raises with its line.
-There is no semantic checking (register typing, ABI): unknown opcodes
+skipped (``.version``, ``.target``, ``.address_size``, ``.file``, ``.loc``,
+``.reg``, ``.local``, ``.shared``, ``.param`` and ``.pragma`` end at the
+line, others at ``;`` or before a body ``{``).  Trailing text with no
+``;`` is counted as an unterminated fragment.  Every other statement is
+an instruction: an optional guard and an opcode (``@!%p1 cp.async.L2::128B``),
+followed by whitespace or ``;``.  A document keeps only its opcode root,
+which is all that profiling reads.  The statements whose shape the regex
+cannot vouch for, and those whose opcode takes no operands, are checked
+in full, and lines are counted up to just those, so a malformed one
+raises with its line.  There is no semantic checking: unknown opcodes
 parse fine and are classified downstream.
 """
 
@@ -38,26 +39,29 @@ class MalformedInstruction(WattrankError):
 # (``ret⏎exit;``).
 OPERANDLESS_ROOTS = frozenset({"ret", "exit", "trap", "brkpt"})
 
-_GUARD_RE = re.compile(r"@\s*!?\s*%?[A-Za-z_$][A-Za-z0-9_$]*")
 _COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 
+# An instruction's optional guard and opcode; modifiers may hold ``::``.
+_OPCODE = (
+    r"(?:@\s*!?\s*%?[A-Za-z_$][A-Za-z0-9_$]*\s+)?"
+    r"(?P<root>[A-Za-z_][A-Za-z0-9_]*)(?:\.[A-Za-z0-9_:]+)*"
+)
 # An operand of the common shape: a flat token or one unnested bracket group.
 _ATOM = r"(?:[^\s,;()\[\]{}]+|\[[^;()\[\]{}]*\]|\{[^;()\[\]{}]*\}|\([^;()\[\]{}]*\))"
 # One statement per match, after optional whitespace.  Groups: ``stmt`` is an
 # instruction's text before its ``;`` and ``root`` its opcode root when the
-# statement has the common shape (guard, ``root.mods``, comma-separated
-# atoms), which _parse_instruction is certain to accept unless the root is
-# in OPERANDLESS_ROOTS and has operands; ``fragment`` is trailing text with
-# no ``;``.  Braces, labels and directives match no group.
+# statement has the common shape (``_OPCODE``, comma-separated atoms), which
+# _parse_instruction is certain to accept unless the root is in
+# OPERANDLESS_ROOTS and has operands; ``fragment`` is trailing text with no
+# ``;``.  Braces, labels and directives match no group.
 _STATEMENT_RE = re.compile(
     rf"""\s*(?:
         [{{}}]
       | [A-Za-z_$%][A-Za-z0-9_$]*\s*:
-      | \.(?:version|target|address_size|file|loc)\b[^;\n]*;?
+      | \.(?:version|target|address_size|file|loc|reg|local|shared|param|pragma)\b[^;\n]*;?
       | \.[^;{{}}=]*(?:=[^;]*)?;?
       | (?P<stmt>
-            (?:@!?%?[A-Za-z_$][A-Za-z0-9_$]*\s+)?
-            (?P<root>[A-Za-z_][A-Za-z0-9_]*)(?:\.[A-Za-z0-9_]+)*
+            {_OPCODE}
             (?:\s+{_ATOM}(?:\s*,\s*{_ATOM})*)?\s*(?=;)
           | [^;]*
         );
@@ -65,6 +69,7 @@ _STATEMENT_RE = re.compile(
     )""",
     re.VERBOSE,
 )
+_OPCODE_RE = re.compile(rf"{_OPCODE}(?!\S)")
 
 
 @dataclass(frozen=True)
@@ -110,23 +115,14 @@ def _has_operands(text: str, line: int) -> bool:
 
 
 def _parse_instruction(stmt: str, line: int) -> str:
-    """Check one instruction statement (its text before ``;``) and return its
-    opcode root; raise :class:`MalformedInstruction` at ``line`` if it is
-    malformed."""
-    s = stmt.strip()
-    if s.startswith("@"):
-        m = _GUARD_RE.match(s)
-        if m is None:
-            raise MalformedInstruction(line, f"unparsable guard {s.split()[0]!r}")
-        s = s[m.end() :].lstrip()
-    if not s:
-        raise MalformedInstruction(line, "empty opcode")
-    opcode_token, *rest = s.split(None, 1)
-    pieces = [p for p in opcode_token.split(".") if p]
-    if not pieces:
-        raise MalformedInstruction(line, "empty opcode")
-    root = pieces[0]
-    if _has_operands(rest[0] if rest else "", line) and root in OPERANDLESS_ROOTS:
+    """Check one instruction statement (its text before ``;``), which must
+    start with ``_OPCODE`` and whitespace or its end, and return its opcode
+    root; raise :class:`MalformedInstruction` at ``line`` if it is malformed."""
+    m = _OPCODE_RE.match(stmt)
+    if m is None:
+        raise MalformedInstruction(line, f"no opcode at the start of {stmt[:40]!r}")
+    root = m.group("root")
+    if _has_operands(stmt[m.end() :], line) and root in OPERANDLESS_ROOTS:
         raise MalformedInstruction(line, f"{root!r} takes no operands (missing ';'?)")
     return root
 
@@ -134,10 +130,12 @@ def _parse_instruction(stmt: str, line: int) -> str:
 def parse_ptx(text: str) -> PtxDocument:
     """Parse PTX source text, which need not be a complete valid module.
 
-    Raises :class:`MalformedInstruction` on an instruction statement with
-    an unparsable guard, an empty opcode, unbalanced brackets, an empty
-    operand, a line break inside an operand or operands on an opcode of
-    :data:`OPERANDLESS_ROOTS`; parsing aborts at that point.
+    Raises :class:`MalformedInstruction` on an instruction statement that
+    is not an optional guard and an opcode followed by whitespace or ``;``
+    (``add..u32``, ``add.f32%f1``, a stray operand or ``/*``), whose
+    operands hold unbalanced brackets, an empty operand or a line break, or
+    that gives operands to an opcode of :data:`OPERANDLESS_ROOTS`; parsing
+    aborts at that point.
     """
     # Block comments keep their newlines, so line numbers stay right; trailing
     # whitespace goes, as the regex would rescan it from every position.

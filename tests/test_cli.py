@@ -44,6 +44,13 @@ def test_profile_missing_file_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_profile_of_garbage_statement_exits_one(tmp_path, capsys):
+    ptx = tmp_path / "garbage.ptx"
+    ptx.write_text("mov.u32 %r1, %r2;\n%r1, %r2;\n")
+    assert main(["profile", str(ptx)]) == 1
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_devices_list_default_catalog(capsys):
     assert main(["devices", "list"]) == 0
     out = capsys.readouterr().out

@@ -131,6 +131,14 @@ def test_indirect_call_prototype_is_not_an_instruction():
         "mov.u32 %r1, %r2\nadd.u32 %r3, %r1, 1;",  # missing ';' swallows the add
         "st.u32 [%rd1], %r1\n@%p1 bra $L__BB0_1;",
         "ret\nexit;",  # missing ';' after an operand-less opcode
+        "%r1, %r2;",  # no opcode: a stray operand list
+        "[%rd1];",
+        "= 5;",
+        "1abc %r1;",  # a root starts with a letter or '_'
+        "foo-bar %r1;",
+        "add..u32 %r1, %r2;",  # an empty modifier
+        "*/ mov.u32 %r1, %r2;",  # a stray comment close
+        "/* unterminated add.u32 %r1, %r2, %r3;",
     ],
 )
 def test_malformed_statements_abort_with_line(bad):
@@ -139,12 +147,32 @@ def test_malformed_statements_abort_with_line(bad):
     assert excinfo.value.line == 2
 
 
+def test_body_directive_without_semicolon_ends_at_its_line():
+    text = ".reg .b32 %r<5>\nadd.u32 %r1, %r2, %r3;\nmov.u32 %r1, %r2;"
+    assert parse_ptx(text).instructions == ("add", "mov")
+    for directive in ("local .align 8 .b8 depot[8]", "shared .b32 smem[4]",
+                      "param .b64 param0", 'pragma "nounroll"'):
+        doc = parse_ptx(f".{directive}\nadd.u32 %r1, %r2, %r3;")
+        assert doc.instructions == ("add",)
+        assert doc.skipped_directive_count == 1
+
+
+def test_double_colon_modifiers_and_spaced_guards_take_the_strict_branch():
+    for stmt, root in [
+        ("cp.async.ca.shared.global.L2::128B [%r1], [%rd1], 16;", "cp"),
+        ("@ !%p1 bra $L__BB0_1;", "bra"),
+    ]:
+        assert _STATEMENT_RE.match(stmt).group("root") == root
+        assert parse_ptx(stmt).instructions == (root,)
+
+
 def test_unknown_opcodes_parse_fine():
     assert parse_ptx("zzz_unknown.weird.u32 %r1;").instructions == ("zzz_unknown",)
 
 
 _ROOTS = ["ld", "st", "mov", "mul", "setp", "bra", "ret", "zzz", "foo2", "cvt"]
-_MODS = ["wide", "global", "rn", "to", "lo", "sat", "param", "sync", "v2", "uni"]
+_MODS = ["wide", "global", "rn", "to", "lo", "sat", "param", "sync", "v2", "uni",
+         "L2::128B", "shared::cta"]
 _TYPES = ["u8", "s16", "b32", "u64", "f16", "f32", "f64", "pred"]
 _OPERANDS = [
     "%r1",
@@ -166,7 +194,7 @@ instruction_strategy = st.builds(
     st.lists(st.sampled_from(_MODS), max_size=3),
     st.one_of(st.none(), st.sampled_from(_TYPES)),
     st.lists(st.sampled_from(_OPERANDS), max_size=4),
-    st.one_of(st.none(), st.sampled_from(["@%p1", "@!%p2"])),
+    st.one_of(st.none(), st.sampled_from(["@%p1", "@!%p2", "@ !%p3"])),
 )
 
 
