@@ -7,7 +7,8 @@ nvcc's multi-line ``.extern .func`` declarations and ``call`` statements
 are single statements.  Braces, labels and directives are counted and
 skipped (``.version``, ``.target``, ``.address_size``, ``.file``, ``.loc``,
 ``.reg``, ``.local``, ``.shared``, ``.param`` and ``.pragma`` end at the
-line, others at ``;`` or before a body ``{``).  Trailing text with no
+line, and a ``;`` inside their quoted strings does not end them; others
+end at ``;`` or before a body ``{``).  Trailing text with no
 ``;`` is counted as an unterminated fragment.  Every other statement is
 an instruction: an optional guard and an opcode (``@!%p1 cp.async.L2::128B``),
 followed by whitespace or ``;``.  A document keeps only its opcode root,
@@ -39,33 +40,44 @@ class MalformedInstruction(WattrankError):
 # (``ret⏎exit;``).
 OPERANDLESS_ROOTS = frozenset({"ret", "exit", "trap", "brkpt"})
 
-_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+_COMMENT_RE = re.compile(r"//[^\n]*+|/\*.*?\*/", re.DOTALL)
 
 # An instruction's optional guard and opcode; modifiers may hold ``::``.
 _OPCODE = (
-    r"(?:@\s*!?\s*%?[A-Za-z_$][A-Za-z0-9_$]*\s+)?"
-    r"(?P<root>[A-Za-z_][A-Za-z0-9_]*)(?:\.[A-Za-z0-9_:]+)*"
+    r"(?:@\s*+!?+\s*+%?+[A-Za-z_$][A-Za-z0-9_$]*+\s++)?+"
+    r"(?P<root>[A-Za-z_][A-Za-z0-9_]*+)(?:\.[A-Za-z0-9_:]++)*+"
 )
 # An operand of the common shape: a flat token or one unnested bracket group.
-_ATOM = r"(?:[^\s,;()\[\]{}]+|\[[^;()\[\]{}]*\]|\{[^;()\[\]{}]*\}|\([^;()\[\]{}]*\))"
+_ATOM = r"(?:[^\s,;()\[\]{}]++|\[[^;()\[\]{}]*+\]|\{[^;()\[\]{}]*+\}|\([^;()\[\]{}]*+\))"
 # One statement per match, after optional whitespace.  Groups: ``stmt`` is an
 # instruction's text before its ``;`` and ``root`` its opcode root when the
 # statement has the common shape (``_OPCODE``, comma-separated atoms), which
 # _parse_instruction is certain to accept unless the root is in
 # OPERANDLESS_ROOTS and has operands; ``fragment`` is trailing text with no
-# ``;``.  Braces, labels and directives match no group.
+# ``;``.  Braces, labels and directives match no group.  A line-terminated
+# directive reads a quoted string whole, so ``.file 1 "a;b.cu"`` is one
+# statement.
+#
+# Every quantifier is possessive (``*+``, ``++``, ``?+``, Python 3.11+): it
+# keeps what it took, so the engine stores no state to backtrack into.  No
+# match changes, because a backtrack could never lead to one: each piece
+# stops where the next has to start.  A flat operand cannot hold the ``,``,
+# whitespace or ``;`` that follows it, a root or a modifier cannot hold the
+# ``.`` that follows it, ``[^;]*`` cannot hold its ``;``, and nothing after
+# the other alternatives can fail.
 _STATEMENT_RE = re.compile(
-    rf"""\s*(?:
+    rf"""\s*+(?:
         [{{}}]
-      | [A-Za-z_$%][A-Za-z0-9_$]*\s*:
-      | \.(?:version|target|address_size|file|loc|reg|local|shared|param|pragma)\b[^;\n]*;?
-      | \.[^;{{}}=]*(?:=[^;]*)?;?
+      | [A-Za-z_$%][A-Za-z0-9_$]*+\s*+:
+      | \.(?:version|target|address_size|file|loc|reg|local|shared|param|pragma)\b
+        (?:"[^"\n]*+"|[^;\n])*+;?+
+      | \.[^;{{}}=]*+(?:=[^;]*+)?+;?+
       | (?P<stmt>
             {_OPCODE}
-            (?:\s+{_ATOM}(?:\s*,\s*{_ATOM})*)?\s*(?=;)
-          | [^;]*
+            (?:\s++{_ATOM}(?:\s*+,\s*+{_ATOM})*+)?+\s*+(?=;)
+          | [^;]*+
         );
-      | (?P<fragment>\S[\s\S]*)
+      | (?P<fragment>\S[\s\S]*+)
     )""",
     re.VERBOSE,
 )
@@ -144,21 +156,22 @@ def parse_ptx(text: str) -> PtxDocument:
     skipped = fragments = 0
     line, counted_to = 1, 0
     for m in _STATEMENT_RE.finditer(text):
-        stmt, root, fragment = m.groups()
-        if stmt is not None:
+        kind = m.lastgroup  # "stmt" (it closes after "root"), "fragment" or None
+        if kind == "stmt":
+            root = m["root"]
             if root is None or root in OPERANDLESS_ROOTS:
                 # Not the common shape, or no operands allowed: check it now,
-                # so a malformed one raises.  Only these need their line, and
-                # counting on from the last one keeps the pass linear.
+                # so a malformed one raises.  Only these need their text and
+                # line, and counting on from the last one keeps the pass linear.
                 start = m.start("stmt")
                 line += text.count("\n", counted_to, start)
                 counted_to = start
-                root = _parse_instruction(stmt, line)
+                root = _parse_instruction(m["stmt"], line)
             roots.append(root)
-        elif fragment is not None:
-            fragments += 1
-        else:
+        elif kind is None:
             skipped += 1
+        else:
+            fragments += 1
 
     return PtxDocument(
         instructions=tuple(roots),
