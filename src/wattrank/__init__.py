@@ -9,7 +9,6 @@ from .dataset_builder import (
     feature_importance,
     feature_names,
     make_sample,
-    select_features,
 )
 from .device_catalog import DeviceSpec, default_catalog, device_to_features, load_catalog
 from .errors import WattrankError

@@ -1,8 +1,8 @@
 """Command-line surface: profile PTX, manage devices, ingest runs, build
 datasets, train/evaluate models, and rank devices for a workload.
 
-Exit codes: 0 success, 1 input or validation error, 2 when a power cap
-excludes every device.
+Exit codes: 0 success, 1 input, validation or usage error, 2 when a power
+cap excludes every device.
 """
 
 from __future__ import annotations
@@ -124,10 +124,6 @@ def _print_metrics(tag: str, metrics: dict) -> None:
 
 def _cmd_train(args) -> int:
     ds = dataset_builder.load_dataset(args.dataset)
-    if args.select_threshold is not None:
-        ds = dataset_builder.select_features(ds, args.select_threshold)
-        print(f"feature selection keeps {(ds.norm.feature_stds > 0).sum()} features")
-
     config = estimator.TrainConfig(lr=args.lr, epochs=args.epochs, patience=args.patience)
     model = estimator.init_model(
         ds.samples[0].features.shape[0], _parse_hidden(args.hidden), seed=args.seed
@@ -161,8 +157,13 @@ def _cmd_rank(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error exits 1, not argparse's 2
+        raise WattrankError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wattrank",
         description="Static PTX profiling and learned power/performance "
         "ranking of GPGPU devices.",
@@ -212,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=5000)
     p.add_argument("--patience", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--select-threshold", type=float, default=None,
-                   help="drop features whose |correlation| with both power and "
-                        "perf is below this")
     p.add_argument("--out", required=True, help="model JSON to write")
     p.set_defaults(func=_cmd_train)
 
@@ -238,9 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except AllDevicesExcluded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -125,14 +125,18 @@ def sample_from_json(text: str) -> LabeledSample:
     return sample
 
 
+def _zscore(v, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """``(v - means) / stds``, and 0 where a std is 0."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros_like(v)
+    np.divide(v - means, stds, out=out, where=stds > 0)
+    return out
+
+
 @dataclass(frozen=True)
 class NormStats:
-    """Z-score statistics.
-
-    A feature std of exactly 0 marks a column that the model does not read,
-    whether it is constant on the train split or unselected by
-    :func:`select_features`: it standardizes to 0.
-    """
+    """Z-score statistics.  A column with std exactly 0 is constant on the
+    train split: it standardizes to 0, so the model does not read it."""
 
     feature_means: np.ndarray
     feature_stds: np.ndarray
@@ -140,18 +144,10 @@ class NormStats:
     target_stds: np.ndarray
 
     def standardize_features(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        np.divide(v - self.feature_means, self.feature_stds,
-                  out=out, where=self.feature_stds > 0)
-        return out
+        return _zscore(v, self.feature_means, self.feature_stds)
 
     def standardize_targets(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        np.divide(y - self.target_means, self.target_stds,
-                  out=out, where=self.target_stds > 0)
-        return out
+        return _zscore(y, self.target_means, self.target_stds)
 
     def destandardize_targets(self, y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=float) * self.target_stds + self.target_means
@@ -279,22 +275,6 @@ def feature_importance(ds: TrainingDataset, target: str) -> list[tuple[str, floa
         zip(names, scores.tolist()), key=lambda pair: abs(pair[1]), reverse=True
     )
     return [(name, float(score)) for name, score in ranked]
-
-
-def select_features(ds: TrainingDataset, threshold: float) -> TrainingDataset:
-    """``ds`` with the columns whose :func:`feature_importance` magnitude
-    reaches ``threshold`` for power or for performance; when none does, the
-    best one.  Dropped columns get std 0 in ``ds.norm``, so no model reads
-    them.  Raises :class:`WattrankError` unless ``threshold`` is in [0, 1].
-    """
-    if not 0.0 <= threshold <= 1.0:  # also rejects NaN
-        raise WattrankError(f"selection threshold must be in [0, 1], got {threshold}")
-    power, perf = (dict(feature_importance(ds, target)) for target in _TARGET_COLUMN)
-    scores = np.array([max(abs(power[n]), abs(perf[n])) for n in _column_names(len(power))])
-    keep = scores >= threshold
-    keep[np.argmax(scores)] = True  # already kept unless no column passes
-    stds = np.where(keep, ds.norm.feature_stds, 0.0)
-    return replace(ds, norm=replace(ds.norm, feature_stds=stds))
 
 
 def save_dataset(ds: TrainingDataset, prefix) -> tuple[Path, Path]:

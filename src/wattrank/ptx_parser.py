@@ -40,8 +40,6 @@ class MalformedInstruction(WattrankError):
 # (``ret⏎exit;``).
 OPERANDLESS_ROOTS = frozenset({"ret", "exit", "trap", "brkpt"})
 
-_COMMENT_RE = re.compile(r"//[^\n]*+|/\*.*?\*/", re.DOTALL)
-
 # An instruction's optional guard and opcode; modifiers may hold ``::``.
 _OPCODE = (
     r"(?:@\s*+!?+\s*+%?+[A-Za-z_$][A-Za-z0-9_$]*+\s++)?+"
@@ -139,6 +137,31 @@ def _parse_instruction(stmt: str, line: int) -> str:
     return root
 
 
+def _strip_comments(text: str) -> str:
+    """``text`` with each ``//`` and closed ``/* */`` comment outside a string
+    (``"`` to its closing quote or line end, as in ``.file 1 "/src/*/k.cu"``)
+    replaced by its newlines, or by a space when it has none."""
+    parts = []
+    kept = pos = 0  # text[:kept] is in parts, and text[:pos] is scanned
+    slash = -1  # the first "/" at or after pos, while slash >= pos
+    eot = len(text) + 1  # "i % eot" turns find's -1 into len(text)
+    while slash >= pos or (slash := text.find("/", pos)) >= 0:
+        quote = text.find('"', pos, slash)
+        if quote >= 0:  # skip the string
+            eol = text.find("\n", quote) % eot
+            close = text.find('"', quote + 1, eol)
+            pos = (close if close >= 0 else eol) + 1
+        elif text.startswith("//", slash):
+            parts += (text[kept:slash], " ")
+            kept = pos = text.find("\n", slash) % eot
+        elif text.startswith("/*", slash) and (close := text.find("*/", slash + 2)) >= 0:
+            parts += (text[kept:slash], "\n" * text.count("\n", slash, close) or " ")
+            kept = pos = close + 2
+        else:  # no comment opens here, or an unclosed "/*"
+            pos = slash + 1
+    return "".join(parts) + text[kept:]
+
+
 def parse_ptx(text: str) -> PtxDocument:
     """Parse PTX source text, which need not be a complete valid module.
 
@@ -149,9 +172,9 @@ def parse_ptx(text: str) -> PtxDocument:
     that gives operands to an opcode of :data:`OPERANDLESS_ROOTS`; parsing
     aborts at that point.
     """
-    # Block comments keep their newlines, so line numbers stay right; trailing
+    # Comments keep their newlines, so line numbers stay right; trailing
     # whitespace goes, as the regex would rescan it from every position.
-    text = _COMMENT_RE.sub(lambda m: "\n" * m.group().count("\n") or " ", text).rstrip()
+    text = _strip_comments(text).rstrip()
     roots: list[str] = []
     skipped = fragments = 0
     line, counted_to = 1, 0

@@ -174,22 +174,45 @@ def test_rank_nan_power_cap_exits_one(workflow, tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_train_with_feature_selection(workflow, tmp_path, capsys):
-    prefix, out = tmp_path / "ds", tmp_path / "model_selected.json"
+def test_eval_prints_the_metrics_that_train_printed(workflow, tmp_path, capsys):
+    prefix, out = tmp_path / "ds", tmp_path / "model.json"
     assert main(["dataset", "build", "--samples", str(workflow / "samples"),
                  "--out", str(prefix)]) == 0
     capsys.readouterr()
     assert main(["train", "--dataset", str(prefix), "--hidden", "none",
                  "--epochs", "200", "--patience", "200", "--lr", "0.05",
-                 "--select-threshold", "0.9", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     trained = capsys.readouterr().out
-    assert "feature selection keeps 8 features" in trained
     assert main(["eval", "--model", str(out), "--dataset", str(prefix)]) == 0
-    # eval reads the saved dataset, dropped columns included, and must still
-    # standardize with the selected statistics the model was trained on
+    # eval reads the saved dataset and standardizes with the statistics the
+    # model was trained on
     evaluated = capsys.readouterr().out
     assert [line.replace("mlp", "model", 1) for line in trained.splitlines()
             if line.startswith("mlp")] == evaluated.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rank", "--ptx", "k.ptx", "--model", "m.json", "--power-cap", "abc"],
+     ["rank", "--ptx", "k.ptx", "--model", "m.json", "--format", "xml"],
+     ["train", "--dataset", "ds", "--select-threshold", "0.5", "--out", "m.json"],
+     ["train", "--dataset", "ds"], ["frobnicate"], []],
+    ids=["power-cap-abc", "format-xml", "removed-select-threshold", "missing-out",
+         "unknown-command", "no-command"],
+)
+def test_usage_errors_exit_one(argv, capsys):
+    """Exit 2 means only that a power cap excluded every device."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: wattrank") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["train", "--help"])
+    assert excinfo.value.code == 0
+    assert "--select-threshold" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from wattrank.dataset_builder import (
     sample_from_json,
     sample_to_json,
     save_dataset,
-    select_features,
 )
 from wattrank.device_catalog import DeviceSpec
 from wattrank.errors import WattrankError
@@ -338,64 +337,6 @@ def test_importance_constant_column_scores_zero():
     y = X[:, 2]
     ds = assemble(_samples(X, np.column_stack([y, y])), seed=4)
     assert dict(feature_importance(ds, "power"))["f0"] == 0.0
-
-
-def _kept(ds):
-    return (ds.norm.feature_stds > 0).tolist()
-
-
-def test_select_features_thresholds():
-    rng = np.random.default_rng(12)
-    X = rng.normal(size=(50, 4))
-    Y = np.column_stack([X[:, 0] + 0.6 * X[:, 1], X[:, 2]]) + rng.normal(size=(50, 2))
-    ds = assemble(_samples(X, Y), seed=2)
-    power, perf = dict(feature_importance(ds, "power")), dict(feature_importance(ds, "perf"))
-    best = [max(abs(power[f"f{j}"]), abs(perf[f"f{j}"])) for j in range(4)]
-    for threshold in (0.0, 0.1, 0.3, 0.5, 0.7, 1.0):
-        selected = select_features(ds, threshold)
-        expected = [score >= threshold for score in best]
-        assert _kept(selected) == (expected if any(expected) else
-                                   [score == max(best) for score in best])
-        np.testing.assert_array_equal(
-            selected.norm.feature_stds, np.where(_kept(selected), ds.norm.feature_stds, 0.0)
-        )
-        assert selected.samples is ds.samples and selected.seed == ds.seed
-        assert (selected.train_indices, selected.val_indices) == (
-            ds.train_indices, ds.val_indices)
-        for name in ("feature_means", "target_means", "target_stds"):
-            assert getattr(selected.norm, name) is getattr(ds.norm, name)
-
-
-def test_select_features_negative_scores_use_magnitude():
-    rng = np.random.default_rng(8)
-    base = rng.normal(size=30)
-    X = np.column_stack([-base, 0.1 * base + rng.normal(size=30)])
-    ds = assemble(_samples(X, np.column_stack([base, base])), seed=1)
-    assert _kept(select_features(ds, 0.5)) == [True, False]
-
-
-def test_select_features_threshold_validated():
-    ds = assemble(_random_samples(10), seed=0)
-    for threshold in (1.5, -0.1, float("nan")):
-        with pytest.raises(WattrankError, match="threshold"):
-            select_features(ds, threshold)
-
-
-def test_select_features_mask_is_in_column_order():
-    # when no column reaches the threshold, the best one is kept, wherever it is
-    rng = np.random.default_rng(4)
-    y = rng.normal(size=40)
-    X = np.column_stack([rng.normal(size=40), rng.normal(size=40), y + rng.normal(size=40)])
-    ds = assemble(_samples(X, np.column_stack([y, -y])), seed=5)
-    assert feature_importance(ds, "perf")[0][0] == "f2"
-    assert _kept(select_features(ds, 0.99)) == [False, False, True]
-
-
-def test_select_features_keeps_the_union_over_both_targets():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(60, 3))
-    ds = assemble(_samples(X, X[:, :2] + 0.1 * rng.normal(size=(60, 2))), seed=3)
-    assert _kept(select_features(ds, 0.5)) == [True, True, False]
 
 
 @given(st.integers(min_value=3, max_value=60), st.integers(min_value=0, max_value=2**31))

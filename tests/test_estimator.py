@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wattrank import synthetic
-from wattrank.dataset_builder import LabeledSample, assemble, feature_names, select_features
+from wattrank.dataset_builder import LabeledSample, assemble, feature_names
 from wattrank.device_catalog import DeviceSpec, default_catalog
 from wattrank.estimator import (
     CorruptFile,
@@ -34,7 +34,7 @@ from wattrank.estimator import (
     train,
 )
 from wattrank.errors import WattrankError
-from wattrank.instruction_profiler import profile
+from wattrank.instruction_profiler import InstructionClass, profile
 from wattrank.ptx_parser import parse_ptx
 from wattrank.ranking import rank_devices
 
@@ -276,10 +276,10 @@ def _outcome(train_fn, m, ds, config):
 
 @st.composite
 def _training_runs(draw):
-    """A dataset (some columns dropped by ``select_features``), a network
-    for it and a config whose patience is often short enough to stop early."""
+    """A dataset (some with constant columns), a network for it and a config
+    whose patience is often short enough to stop early."""
     if draw(st.integers(0, 5)) == 0:
-        ds = _default_synthetic_selected()
+        ds = _default_synthetic()
     else:
         ds = _linear_dataset(n=draw(st.integers(3, 150)), d=draw(st.integers(1, 16)),
                              seed=draw(st.integers(0, 100)),
@@ -288,9 +288,6 @@ def _training_runs(draw):
         if workloads < len(ds.samples) and draw(st.booleans()):  # a side may get one row
             ds = assemble([replace(s, workload_id=f"w{i % workloads}")
                            for i, s in enumerate(ds.samples)], seed=7, group_by_workload=True)
-        threshold = draw(st.sampled_from([None, 0.2, 0.6, 1.0]))
-        if threshold is not None:
-            ds = select_features(ds, threshold)
     hidden = draw(st.sampled_from([None, [], [7]]) | st.lists(st.integers(1, 12), max_size=2))
     m = init_model(ds.samples[0].features.shape[0], hidden, seed=draw(st.integers(0, 2**32 - 1)))
     lr = draw(st.floats(1e-3, 0.3) | st.sampled_from([2.0, 50.0]))
@@ -300,11 +297,11 @@ def _training_runs(draw):
 
 
 @functools.cache
-def _default_synthetic_selected():
-    """The default synthetic dataset with the columns of correlation below
-    0.5 dropped: std 0 in its statistics."""
+def _default_synthetic():
+    """The default synthetic dataset, whose ``texture_and_surface`` and
+    ``other`` columns are constant: std 0 in its statistics."""
     samples = synthetic.ingest_experiment(synthetic.generate(synthetic.SyntheticConfig()))
-    return select_features(assemble(samples, seed=42), 0.5)
+    return assemble(samples, seed=42)
 
 
 def _assert_trains_like_the_oracle(m, ds, config):
@@ -341,14 +338,14 @@ def test_training_matches_the_per_layer_oracle(run):
 
 @pytest.mark.parametrize(
     "hidden,lr,epochs,patience,stops",
-    [(None, 0.01, 400, 200, False), ([7], 0.3, 300, 5, True), ([], 0.25, 300, 3, True),
+    [(None, 0.01, 400, 200, False), ([7], 0.5, 300, 5, True), ([], 0.25, 300, 3, True),
      ([], 50.0, 100, 100, None)],
     ids=["default-shape", "one-hidden-early-stop", "linear-early-stop", "diverges"],
 )
-def test_training_matches_the_oracle_on_the_default_selected_dataset(
+def test_training_matches_the_oracle_on_the_default_dataset(
     hidden, lr, epochs, patience, stops
 ):
-    ds = _default_synthetic_selected()
+    ds = _default_synthetic()
     assert (ds.norm.feature_stds == 0).any()
     m = init_model(14, hidden, seed=3)
     config = TrainConfig(lr=lr, epochs=epochs, patience=patience)
@@ -507,42 +504,25 @@ def test_predict_feature_contract_mismatch(corpus_doc):
         predict(trained, profile(corpus_doc, "copy_kernel"), DEVICE_A)
 
 
-def test_feature_mask_training_and_prediction(corpus_doc):
-    _, ds = _pipeline_fixture(seed=5)
-    selected = select_features(ds, 0.5)
-    trained, _ = train(init_model(14, [], seed=0), selected,
-                       TrainConfig(epochs=60, patience=100))
-    assert trained.norm is selected.norm
-    prediction = predict(trained, profile(corpus_doc, "copy_kernel"), DEVICE_A)
-    assert np.isfinite([prediction.power_w, prediction.perf_ips]).all()
-
-
-@pytest.fixture(scope="module")
-def default_synthetic_ds():
-    samples = synthetic.ingest_experiment(synthetic.generate(synthetic.SyntheticConfig()))
-    return assemble(samples, seed=42)
-
-
-def test_selection_serves_both_targets_on_default_synthetic(default_synthetic_ds):
-    ds = default_synthetic_ds
-    selected = select_features(ds, 0.1)
-    np.testing.assert_array_equal(selected.norm.feature_stds > 0, ds.norm.feature_stds > 0)
-    val = evaluate(fit_linear_baseline(selected), selected)["val"]
+def test_ridge_serves_both_targets_on_default_synthetic():
+    ds = _default_synthetic()
+    val = evaluate(fit_linear_baseline(ds), ds)["val"]
     assert val["perf"]["r2"] >= 0.95 and val["power"]["r2"] >= 0.95
 
 
-def test_prediction_ignores_a_dropped_device_feature(default_synthetic_ds, corpus_doc):
-    ds = default_synthetic_ds
-    selected = select_features(ds, 1.0)  # keeps the single best column
-    sm_count = feature_names().index("sm_count")
-    assert selected.norm.feature_stds[sm_count] == 0 < ds.norm.feature_stds[sm_count]
+def test_prediction_ignores_a_constant_feature(corpus_doc):
+    ds = _default_synthetic()
+    texture = feature_names().index("texture_and_surface")
+    assert ds.norm.feature_stds[texture] == 0
+    model, _ = train(init_model(14, [7], seed=0), ds, TrainConfig(epochs=60))
+    assert model.norm is ds.norm
     prof = profile(corpus_doc, "copy_kernel")
+    textured = replace(prof, counts={**prof.counts, InstructionClass.TEXTURE_AND_SURFACE: 9})
     device = default_catalog()[0]
+    assert predict(model, textured, device) == predict(model, prof, device)
+    # a column that varies on the train rows does move the prediction
     tripled = replace(device, sm_count=3 * device.sm_count)
-    model, _ = train(init_model(14, [7], seed=0), selected, TrainConfig(epochs=60))
-    assert predict(model, prof, tripled) == predict(model, prof, device)
-    unselected, _ = train(init_model(14, [7], seed=0), ds, TrainConfig(epochs=60))
-    assert predict(unselected, prof, tripled) != predict(unselected, prof, device)
+    assert predict(model, prof, tripled) != predict(model, prof, device)
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):

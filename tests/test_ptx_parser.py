@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from wattrank.instruction_profiler import profile
 from wattrank.ptx_parser import (
-    _COMMENT_RE,
     _OPCODE_RE,
     _STATEMENT_RE,
     OPERANDLESS_ROOTS,
     MalformedInstruction,
     _parse_instruction,
+    _strip_comments,
     parse_ptx,
     parse_ptx_file,
 )
@@ -166,6 +166,55 @@ def test_quoted_semicolon_does_not_end_a_line_directive(directive):
     assert doc.instructions == ("mov",)
     assert doc.skipped_directive_count == 1
     assert doc.fragment_count == 0
+
+
+def test_comment_marks_inside_a_quoted_path_open_no_comment():
+    text = ('.file 1 "/src/*/k.cu"\n{\nmov.u32 %r1, %r2;\nadd.s32 %r1, %r1, 1;\n'
+            "/* note */\nret;\n}")
+    assert parse_ptx(text).instructions == ("mov", "add", "ret")
+
+
+@pytest.mark.parametrize("directive", ['.file 1 "/src//k.cu"', '.file 2 "/src/*/k.cu"',
+                                       '.pragma "a//b";', '.pragma "a/*b";'])
+def test_comment_marks_inside_strings_are_kept(directive):
+    text = f"{directive} // note\n/* a\nblock */ mov.u32 %r1, %r2; // end"
+    assert _strip_comments(text) == f"{directive}  \n\n mov.u32 %r1, %r2;  "
+    doc = parse_ptx(text)
+    assert doc.instructions == ("mov",) and doc.skipped_directive_count == 1
+
+
+def test_a_string_ends_at_its_line_end():
+    assert _strip_comments('.file 1 "a/*b\n*/ mov.u32 %r1, %r2;') == (
+        '.file 1 "a/*b\n*/ mov.u32 %r1, %r2;')
+    assert _strip_comments('.pragma "a\n// c\nx') == '.pragma "a\n \nx'
+
+
+# What comment stripping was before it knew strings: on text with no '"'
+# the two must agree.
+_COMMENT_ORACLE = re.compile(r"//[^\n]*+|/\*.*?\*/", re.DOTALL)
+# The same with strings, as one (slow) regex: a string matches whole and stays.
+_STRING_ORACLE = re.compile(r'"[^"\n]*+"?+|//[^\n]*+|/\*.*?\*/', re.DOTALL)
+
+
+def _comment_soup(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=30).map("".join) | st.text(
+        "".join(pieces), max_size=40)
+
+
+@given(_comment_soup(["/", "*", "//", "/*", "*/", "\n", " ", "a", ";"]))
+@settings(max_examples=500)
+def test_comment_stripping_without_strings_matches_the_oracle(text):
+    want = _COMMENT_ORACLE.sub(lambda m: "\n" * m.group().count("\n") or " ", text)
+    assert _strip_comments(text) == want
+
+
+@given(_comment_soup(['"', "/", "*", "//", "/*", "*/", "\n", " ", "a", ";"]))
+@settings(max_examples=500)
+def test_comment_stripping_with_strings_matches_the_oracle(text):
+    want = _STRING_ORACLE.sub(
+        lambda m: m.group() if m.group()[0] == '"' else "\n" * m.group().count("\n") or " ",
+        text)
+    assert _strip_comments(text) == want
 
 
 def test_double_colon_modifiers_and_spaced_guards_take_the_strict_branch():
@@ -392,7 +441,7 @@ def test_instructions_are_the_decoded_roots(text):
         doc = parse_ptx(text)
     except MalformedInstruction:
         return
-    stripped = _COMMENT_RE.sub(lambda m: "\n" * m.group().count("\n") or " ", text).rstrip()
+    stripped = _strip_comments(text).rstrip()
     statements = [m for m in _STATEMENT_RE.finditer(stripped) if m.group("stmt") is not None]
     assert doc.instructions == tuple(_parse_instruction(m.group("stmt"), 1) for m in statements)
     starts = [m.start("stmt") for m in statements]
@@ -433,7 +482,7 @@ _BACKTRACKING = [(regex, _backtracking(regex)) for regex in (_STATEMENT_RE, _OPC
 
 
 def _assert_possessive_changes_no_match(text):
-    stripped = _COMMENT_RE.sub(lambda m: "\n" * m.group().count("\n") or " ", text)
+    stripped = _strip_comments(text)
     for possessive, backtracking in _BACKTRACKING:
         for scanned in (text, stripped):
             got = [(m.span(), m.groupdict()) for m in possessive.finditer(scanned)]
