@@ -25,10 +25,11 @@ HIDDEN_SPECS = [[], [14], [28, 14], [56, 28], [28, 28, 14]]
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--n-workloads", type=int, default=20)
-    parser.add_argument("--epochs", type=int, default=5000)
-    parser.add_argument("--lr", type=float, default=0.01)
+    defaults = synthetic.SyntheticConfig
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--n-workloads", type=int, default=defaults.n_workloads)
+    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    parser.add_argument("--lr", type=float, default=TrainConfig.lr)
     args = parser.parse_args()
 
     experiment = synthetic.generate(synthetic.SyntheticConfig(

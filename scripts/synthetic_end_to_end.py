@@ -16,18 +16,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wattrank import synthetic
-from wattrank.dataset_builder import (
-    assemble,
-    feature_importance,
-    make_sample,
-    save_dataset,
-)
-from wattrank.device_catalog import find_device
+from wattrank.dataset_builder import assemble, feature_importance, ingest_run, save_dataset
 from wattrank.estimator import TrainConfig, evaluate, init_model, save_model, train
 from wattrank.instruction_profiler import profile
 from wattrank.ptx_parser import parse_ptx_file
 from wattrank.ranking import rank_devices, report
-from wattrank.telemetry_ingest import build_run_record, load_run_meta, parse_power_csv
+from wattrank.telemetry_ingest import load_run_meta, parse_power_csv
 
 
 def write_experiment_files(experiment: synthetic.SyntheticExperiment, outdir: Path):
@@ -52,11 +46,12 @@ def write_experiment_files(experiment: synthetic.SyntheticExperiment, outdir: Pa
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-workloads", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--noise-frac", type=float, default=0.01)
-    parser.add_argument("--epochs", type=int, default=5000)
-    parser.add_argument("--lr", type=float, default=0.01)
+    defaults = synthetic.SyntheticConfig
+    parser.add_argument("--n-workloads", type=int, default=defaults.n_workloads)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--noise-frac", type=float, default=defaults.noise_frac)
+    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    parser.add_argument("--lr", type=float, default=TrainConfig.lr)
     parser.add_argument("--outdir", type=Path, default=Path("runs/synthetic"))
     args = parser.parse_args()
 
@@ -73,10 +68,7 @@ def main() -> int:
     for ptx_path, power_path, meta_path in run_files:
         meta = load_run_meta(meta_path)
         prof = profile(parse_ptx_file(ptx_path), meta.workload_id)
-        device = find_device(experiment.devices, meta.device_name)
-        trace = parse_power_csv(power_path)
-        record = build_run_record(prof, device, trace, meta)
-        samples.append(make_sample(prof, device, record))
+        samples.append(ingest_run(prof, experiment.devices, meta, parse_power_csv(power_path)))
 
     ds = assemble(samples, seed=42)
     save_dataset(ds, args.outdir / "dataset")

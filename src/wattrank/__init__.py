@@ -8,6 +8,7 @@ from .dataset_builder import (
     assemble,
     feature_importance,
     feature_names,
+    ingest_run,
     make_sample,
 )
 from .device_catalog import DeviceSpec, default_catalog, device_to_features, load_catalog

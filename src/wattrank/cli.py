@@ -68,16 +68,11 @@ def _cmd_ingest(args) -> int:
     prof = profile_from_json(Path(args.profile).read_text(encoding="utf-8"))
     meta = telemetry_ingest.load_run_meta(args.meta)
     trace = telemetry_ingest.parse_power_csv(args.power)
-    catalog = _load_catalog_arg(args.catalog)
-    device = device_catalog.find_device(catalog, meta.device_name)
-    record = telemetry_ingest.build_run_record(prof, device, trace, meta)
-    sample = dataset_builder.make_sample(prof, device, record)
-    Path(args.out).write_text(
-        dataset_builder.sample_to_json(sample) + "\n", encoding="utf-8"
-    )
+    sample = dataset_builder.ingest_run(prof, _load_catalog_arg(args.catalog), meta, trace)
+    Path(args.out).write_text(dataset_builder.sample_to_json(sample) + "\n", encoding="utf-8")
     print(
-        f"{record.workload_id} on {record.device_name}: "
-        f"{record.mean_power_w:.2f} W, {record.perf_ips:.4g} inst/s "
+        f"{sample.workload_id} on {sample.device_name}: "
+        f"{sample.power_w:.2f} W, {sample.perf_ips:.4g} inst/s "
         f"({trace.zero_w_dropped} 0 W rows dropped) -> {args.out}"
     )
     return 0
@@ -209,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="dataset prefix from 'dataset build'")
     p.add_argument("--hidden", default="auto",
                    help="comma-separated hidden sizes, 'auto' (2d,d) or 'none'")
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=5000)
-    p.add_argument("--patience", type=int, default=200)
+    p.add_argument("--lr", type=float, default=estimator.TrainConfig.lr)
+    p.add_argument("--epochs", type=int, default=estimator.TrainConfig.epochs)
+    p.add_argument("--patience", type=int, default=estimator.TrainConfig.patience)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True, help="model JSON to write")
     p.set_defaults(func=_cmd_train)

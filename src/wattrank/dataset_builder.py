@@ -17,11 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .device_catalog import DEVICE_FEATURE_NAMES, DeviceSpec, device_to_features
+from .device_catalog import DEVICE_FEATURE_NAMES, DeviceSpec, device_to_features, find_device
 from .errors import WattrankError
 from .instruction_profiler import CLASS_ORDER, InstructionProfile, profile_to_features
 from .json_types import json_loads, json_numbers, json_value
-from .telemetry_ingest import RunRecord, UnparsableValue, csv_rows
+from .telemetry_ingest import (
+    PowerTrace, RunMeta, RunRecord, UnparsableValue, build_run_record, csv_rows,
+)
 
 
 class TooFewSamples(WattrankError):
@@ -74,12 +76,20 @@ def make_sample(
 ) -> LabeledSample:
     """Build one training row from :func:`feature_vector` and measured labels."""
     return LabeledSample(
-        workload_id=record.workload_id,
-        device_name=record.device_name,
+        workload_id=profile.workload_id,
+        device_name=device.name,
         features=feature_vector(profile, device),
         power_w=record.mean_power_w,
         perf_ips=record.perf_ips,
     )
+
+
+def ingest_run(profile: InstructionProfile, catalog: list[DeviceSpec], meta: RunMeta,
+               trace: PowerTrace) -> LabeledSample:
+    """The labeled sample of one measured run: the device that ``meta`` names
+    in ``catalog``, joined with ``profile`` and the run's checked labels."""
+    device = find_device(catalog, meta.device_name)
+    return make_sample(profile, device, build_run_record(profile, device, trace, meta))
 
 
 def sample_to_json(sample: LabeledSample) -> str:

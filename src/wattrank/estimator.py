@@ -304,7 +304,8 @@ def fit_linear_baseline(ds: TrainingDataset) -> MlpModel:
 
 
 def predict(m: MlpModel, profile: InstructionProfile, device: DeviceSpec) -> Prediction:
-    """Standardize, forward, de-standardize; negatives clamp to 0 (flagged)."""
+    """Standardize, forward, de-standardize; negatives clamp to 0 (flagged).
+    An output that is not finite raises :class:`WattrankError` naming the device."""
     if m.norm is None:
         raise FeatureContractMismatch("model has no normalization statistics")
     raw = feature_vector(profile, device)
@@ -313,8 +314,10 @@ def predict(m: MlpModel, profile: InstructionProfile, device: DeviceSpec) -> Pre
             f"built {raw.size} features, model statistics cover "
             f"{m.norm.feature_means.size}"
         )
-    x = m.norm.standardize_features(raw)
-    out = m.norm.destandardize_targets(forward(m, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = m.norm.destandardize_targets(forward(m, m.norm.standardize_features(raw)))
+    if not np.isfinite(out).all():
+        raise WattrankError(f"prediction for device {device.name!r} is not finite: {out}")
     clamped = bool((out < 0).any())
     out = np.maximum(out, 0.0)
     return Prediction(

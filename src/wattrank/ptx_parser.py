@@ -145,6 +145,7 @@ def _strip_comments(text: str) -> str:
     kept = pos = 0  # text[:kept] is in parts, and text[:pos] is scanned
     slash = -1  # the first "/" at or after pos, while slash >= pos
     eot = len(text) + 1  # "i % eot" turns find's -1 into len(text)
+    end = 0  # -1 once a "/*" finds no "*/": then no later one can, so none looks
     while slash >= pos or (slash := text.find("/", pos)) >= 0:
         quote = text.find('"', pos, slash)
         if quote >= 0:  # skip the string
@@ -154,9 +155,10 @@ def _strip_comments(text: str) -> str:
         elif text.startswith("//", slash):
             parts += (text[kept:slash], " ")
             kept = pos = text.find("\n", slash) % eot
-        elif text.startswith("/*", slash) and (close := text.find("*/", slash + 2)) >= 0:
-            parts += (text[kept:slash], "\n" * text.count("\n", slash, close) or " ")
-            kept = pos = close + 2
+        elif (end >= 0 and text.startswith("/*", slash)
+              and (end := text.find("*/", slash + 2)) >= 0):
+            parts += (text[kept:slash], "\n" * text.count("\n", slash, end) or " ")
+            kept = pos = end + 2
         else:  # no comment opens here, or an unclosed "/*"
             pos = slash + 1
     return "".join(parts) + text[kept:]

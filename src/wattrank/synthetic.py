@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_builder import LabeledSample, feature_names, feature_vector, make_sample
+from .dataset_builder import LabeledSample, feature_names, feature_vector, ingest_run
 from .device_catalog import DeviceSpec, default_catalog
 from .instruction_profiler import CLASS_ORDER, InstructionClass, InstructionProfile, profile
 from .ptx_parser import parse_ptx
-from .telemetry_ingest import RunMeta, build_run_record, parse_power_csv_text
+from .telemetry_ingest import RunMeta, parse_power_csv_text
 
 _C = InstructionClass
 
@@ -178,14 +178,9 @@ def generate(config: SyntheticConfig = SyntheticConfig()) -> SyntheticExperiment
 
 
 def ingest_experiment(experiment: SyntheticExperiment) -> list[LabeledSample]:
-    """Run every synthetic artifact through the real ingestion path."""
-    by_name = {d.name: d for d in experiment.devices}
+    """Run every synthetic artifact through the real ingestion path, ``ingest_run``."""
     profiles = {name: profile(parse_ptx(ptx_text), name)  # once, not once per device
                 for name, ptx_text in experiment.kernels.items()}
-    samples = []
-    for run in experiment.runs:
-        prof, device = profiles[run.meta.workload_id], by_name[run.meta.device_name]
-        trace = parse_power_csv_text(run.power_csv_text)
-        record = build_run_record(prof, device, trace, run.meta)
-        samples.append(make_sample(prof, device, record))
-    return samples
+    return [ingest_run(profiles[run.meta.workload_id], experiment.devices, run.meta,
+                       parse_power_csv_text(run.power_csv_text))
+            for run in experiment.runs]

@@ -83,10 +83,8 @@ class RunMeta:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Measured labels for one (workload, device) run."""
+    """Measured labels for one run; :func:`build_run_record` checks them."""
 
-    workload_id: str
-    device_name: str
     mean_power_w: float
     perf_ips: float
 
@@ -222,9 +220,4 @@ def build_run_record(
             None, f"{profile.total} instructions x {meta.repetitions} repetitions / "
             f"{meta.wall_clock_s} s is not a finite instructions per second"
         )
-    return RunRecord(
-        workload_id=profile.workload_id,
-        device_name=device.name,
-        mean_power_w=watts,
-        perf_ips=perf_ips,
-    )
+    return RunRecord(mean_power_w=watts, perf_ips=perf_ips)

@@ -2,7 +2,8 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import wattrank
 from wattrank import synthetic
-from wattrank.cli import main
+from wattrank.cli import build_parser, main
 from wattrank.dataset_builder import (
     CorruptDataset,
     LabeledSample,
@@ -19,7 +20,7 @@ from wattrank.dataset_builder import (
     sample_to_json,
 )
 from wattrank.device_catalog import default_catalog, save_catalog
-from wattrank.estimator import init_model, save_model
+from wattrank.estimator import TrainConfig, init_model, save_model
 from wattrank.instruction_profiler import profile_from_json
 from wattrank.ranking import CSV_HEADER
 
@@ -111,6 +112,48 @@ def workflow(tmp_path_factory):
             "--profile", str(prof), "--out", str(samples_dir / f"sample{index}.json"),
         ]) == 0
     return root
+
+
+def test_ingest_writes_the_samples_of_ingest_experiment(workflow, tmp_path, capsys):
+    experiment = synthetic.generate(synthetic.SyntheticConfig(n_workloads=8, seed=3))
+    samples = synthetic.ingest_experiment(experiment)
+    assert len(samples) == 24
+    for index, sample in enumerate(samples):
+        written = (workflow / "samples" / f"sample{index}.json").read_text(encoding="utf-8")
+        assert written == sample_to_json(sample) + "\n", index
+    out = tmp_path / "sample.json"
+    capsys.readouterr()
+    assert main(["ingest", "--power", str(workflow / "run1.csv"),
+                 "--meta", str(workflow / "run1.meta.json"),
+                 "--profile", str(workflow / "cnn_000.profile.json"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"cnn_000 on 2080Ti: 121.01 W, 7.149e+08 inst/s (0 0 W rows dropped) -> {out}\n")
+
+
+def test_dataset_build_group_by_workload_keeps_each_workload_on_one_side(workflow):
+    def sides(prefix, *flags):
+        """Each workload's sides, one per row, as the written sidecar puts them."""
+        assert main(["dataset", "build", "--samples", str(workflow / "samples"),
+                     "--out", str(prefix), *flags]) == 0
+        sidecar = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
+        side = {i: "train" for i in sidecar["train_indices"]}
+        side.update({i: "val" for i in sidecar["val_indices"]})
+        by_workload: dict[str, list[str]] = {}
+        for i, sample in enumerate(load_dataset(prefix).samples):
+            by_workload.setdefault(sample.workload_id, []).append(side[i])
+        assert sorted(map(len, by_workload.values())) == [3] * 8  # 8 workloads x 3 devices
+        return by_workload
+
+    grouped = sides(workflow / "grouped", "--group-by-workload")
+    assert all(len(set(rows)) == 1 for rows in grouped.values()), grouped
+    # without the flag the runs are split, and some workload straddles the cut
+    assert any(len(set(rows)) == 2 for rows in sides(workflow / "by-run").values())
+
+
+def test_train_defaults_are_those_of_train_config():
+    args = build_parser().parse_args(["train", "--dataset", "ds", "--out", "model.json"])
+    assert TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)}) == (
+        TrainConfig())
 
 
 def test_ingest_dataset_train_eval_rank(workflow, capsys):
@@ -459,11 +502,16 @@ def nan_catalog(tmp_path):
     return path
 
 
+def _save_identity_norm_model(path):
+    """An untrained linear model whose statistics leave features unscaled."""
+    save_model(replace(init_model(14, [], seed=0), norm=NormStats(
+        np.zeros(14), np.ones(14), np.full(2, 100.0), np.ones(2))), path)
+
+
 def test_catalog_name_with_a_carriage_return_exits_one(workflow, tmp_path, capsys):
     catalog, model = tmp_path / "cr_catalog.json", tmp_path / "model.json"
     save_catalog([replace(default_catalog()[0], name="a\rb")], catalog)
-    save_model(replace(init_model(14, [], seed=0), norm=NormStats(
-        np.zeros(14), np.ones(14), np.full(2, 100.0), np.ones(2))), model)
+    _save_identity_norm_model(model)
     for argv in (["devices", "list", "--catalog", str(catalog)],
                  ["rank", "--ptx", str(next(workflow.glob("cnn_*.ptx"))),
                   "--catalog", str(catalog), "--model", str(model), "--format", "csv"]):
@@ -471,6 +519,21 @@ def test_catalog_name_with_a_carriage_return_exits_one(workflow, tmp_path, capsy
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "'name'" in captured.err
         assert captured.out == ""
+
+
+def test_rank_of_a_catalog_whose_prediction_overflows_exits_one(workflow, tmp_path, capsys):
+    catalog, model = tmp_path / "huge_catalog.json", tmp_path / "model.json"
+    # schema-valid values whose weighted sum overflows a float in the perf output
+    huge = replace(default_catalog()[0], memory_clock_mhz=1.7e308, memory_bandwidth_gbps=1.7e308)
+    save_catalog([huge, *default_catalog()[1:]], catalog)
+    _save_identity_norm_model(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise here
+        assert main(["rank", "--ptx", str(next(workflow.glob("cnn_*.ptx"))),
+                     "--catalog", str(catalog), "--model", str(model), "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: prediction for device 'V100' is not finite")
+    assert captured.out == ""
 
 
 def test_devices_list_of_nan_catalog_exits_one(nan_catalog, capsys):

@@ -16,6 +16,7 @@ from wattrank.dataset_builder import (
     feature_importance,
     feature_names,
     feature_vector,
+    ingest_run,
     load_dataset,
     make_sample,
     sample_from_json,
@@ -26,6 +27,7 @@ from wattrank.device_catalog import DeviceSpec
 from wattrank.errors import WattrankError
 from wattrank.instruction_profiler import InstructionClass, profile
 from wattrank.telemetry_ingest import (
+    MismatchedRun,
     PowerTrace,
     RunMeta,
     UnparsableValue,
@@ -62,6 +64,23 @@ def test_make_sample_concatenation_order(corpus_doc):
     assert len(sample.features) == len(feature_names()) == 14
     assert sample.power_w == 100.0
     assert sample.perf_ips == 10.0
+
+
+def test_ingest_run_joins_the_device_that_the_metadata_names(corpus_doc):
+    prof = profile(corpus_doc, "copy_kernel")  # 20 instructions
+    other = replace(DEVICE, name="other", sm_count=20)
+    trace = PowerTrace(((0.0, 100.0), (1.0, 120.0)))
+    meta = RunMeta("copy_kernel", "other", 2.0, 3)
+    sample = ingest_run(prof, [DEVICE, other], meta, trace)
+    assert (sample.workload_id, sample.device_name) == ("copy_kernel", "other")
+    assert sample.features.tolist() == feature_vector(prof, other).tolist()
+    assert (sample.power_w, sample.perf_ips) == (110.0, 30.0)
+    record = build_run_record(prof, other, trace, meta)
+    assert sample_to_json(sample) == sample_to_json(make_sample(prof, other, record))
+    with pytest.raises(WattrankError, match="not in the catalog"):
+        ingest_run(prof, [DEVICE], meta, trace)
+    with pytest.raises(MismatchedRun):
+        ingest_run(profile(corpus_doc, "another_kernel"), [DEVICE, other], meta, trace)
 
 
 def test_feature_vector_follows_feature_names(corpus_doc):

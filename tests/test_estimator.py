@@ -1,6 +1,7 @@
 import functools
 import json
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -495,6 +496,17 @@ def test_predict_clamps_negative_outputs(corpus_doc):
     prediction = predict(doctored, profile(corpus_doc, "copy_kernel"), DEVICE_A)
     assert prediction.power_w == 0.0 and prediction.perf_ips == 0.0
     assert prediction.clamped
+
+
+def test_predict_rejects_an_output_that_is_not_finite(corpus_doc):
+    model = fit_linear_baseline(_default_synthetic())
+    huge = replace(default_catalog()[0], memory_clock_mhz=1.7e308)  # schema-valid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise here
+        with pytest.raises(WattrankError, match="'V100' is not finite"):
+            predict(model, profile(corpus_doc, "copy_kernel"), huge)
+        with pytest.raises(WattrankError, match="'V100' is not finite"):
+            rank_devices(profile(corpus_doc, "copy_kernel"), [huge], model)
 
 
 def test_predict_feature_contract_mismatch(corpus_doc):

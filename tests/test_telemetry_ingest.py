@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from wattrank.telemetry_ingest import (
     NonPositiveDuration,
     PowerTrace,
     RunMeta,
+    RunRecord,
     UnparsableValue,
     build_run_record,
     mean_power,
@@ -229,6 +232,11 @@ def test_power_above_tdp_bound_rejected():
     trace = PowerTrace(((0.0, 400.0),))  # 400 > 1.2 * 250
     with pytest.raises(ImplausiblePower):
         build_run_record(_profile_with_total(5), DEVICE, trace, RunMeta("w", "dev", 1.0, 1))
+
+
+def test_run_record_holds_only_the_labels():
+    # The ids come from the profile and device it is joined with (make_sample).
+    assert [f.name for f in fields(RunRecord)] == ["mean_power_w", "perf_ips"]
 
 
 @pytest.mark.parametrize(
