@@ -1,8 +1,8 @@
 """Command-line surface: profile PTX, manage devices, ingest runs, build
 datasets, train/evaluate models, and rank devices for a workload.
 
-Exit codes: 0 success, 1 input, validation or usage error, 2 when a power
-cap excludes every device.
+Exit codes: 0 success, 1 input, validation or usage error, 2 when no device
+is left to rank: every prediction is not positive or over the power cap.
 """
 
 from __future__ import annotations

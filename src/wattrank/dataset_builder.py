@@ -11,7 +11,6 @@ and computes z-score statistics on the training split only.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 from .device_catalog import DEVICE_FEATURE_NAMES, DeviceSpec, device_to_features, find_device
 from .errors import WattrankError
 from .instruction_profiler import CLASS_ORDER, InstructionProfile, profile_to_features
-from .json_types import json_loads, json_numbers, json_value
+from .json_types import json_dumps, json_loads, json_numbers, json_value
 from .telemetry_ingest import (
     PowerTrace, RunMeta, RunRecord, UnparsableValue, build_run_record, csv_rows,
 )
@@ -93,7 +92,7 @@ def ingest_run(profile: InstructionProfile, catalog: list[DeviceSpec], meta: Run
 
 
 def sample_to_json(sample: LabeledSample) -> str:
-    return json.dumps(
+    return json_dumps(
         {
             "workload_id": sample.workload_id,
             "device_name": sample.device_name,
@@ -123,7 +122,7 @@ def sample_from_json(text: str) -> LabeledSample:
             power_w=json_value(doc["power_w"], float),
             perf_ips=json_value(doc["perf_ips"], float),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise InconsistentFeatureLength(f"bad sample JSON: {exc}") from exc
     if sample.features.shape != (len(feature_names()),):
         raise InconsistentFeatureLength(
@@ -231,9 +230,12 @@ def assemble(
 
     Raises :class:`TooFewSamples` below n=3,
     :class:`InconsistentFeatureLength` if rows disagree on feature count, and
-    :class:`WattrankError` when the samples hold fewer than 2 runs (2
-    workloads with ``group_by_workload``) or the statistics are not finite.
+    :class:`WattrankError` for a negative ``seed``, when the samples hold
+    fewer than 2 runs (2 workloads with ``group_by_workload``) or when the
+    statistics are not finite.
     """
+    if seed < 0:
+        raise WattrankError(f"seed must be a non-negative integer, got {seed}")
     n = len(samples)
     if n < 3:
         raise TooFewSamples(n)
@@ -306,9 +308,7 @@ def save_dataset(ds: TrainingDataset, prefix) -> tuple[Path, Path]:
         "train_indices": list(ds.train_indices),
         "val_indices": list(ds.val_indices),
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    json_path.write_text(json_dumps(sidecar, indent=2) + "\n", encoding="utf-8")
     return csv_path, json_path
 
 

@@ -9,16 +9,16 @@ as an optional sanity bound for measured power, not as a model feature.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from importlib import resources
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from .errors import WattrankError
-from .json_types import json_loads, json_value
+from .json_types import json_dumps, json_loads, json_value
 
 
 class SchemaError(WattrankError):
@@ -131,9 +131,7 @@ def save_catalog(specs: list[DeviceSpec], path) -> None:
     records = [
         {k: v for k, v in asdict(spec).items() if v is not None} for spec in specs
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json_dumps(records, indent=2) + "\n", encoding="utf-8")
 
 
 def default_catalog() -> list[DeviceSpec]:

@@ -13,9 +13,9 @@ be verified against central finite differences.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .dataset_builder import NormStats, TrainingDataset, feature_vector
 from .device_catalog import DeviceSpec
 from .errors import WattrankError
 from .instruction_profiler import InstructionProfile
-from .json_types import json_loads, json_numbers, json_value
+from .json_types import json_dumps, json_loads, json_numbers, json_value
 
 MODEL_FILE_VERSION = 1
 RIDGE_PENALTY = 1e-6  # keeps the ridge normal equations solvable
@@ -71,7 +71,11 @@ class Prediction:
     perf_ips: float
     device_name: str
     workload_id: str
-    clamped: bool = False
+
+    @property
+    def clamped(self) -> bool:
+        """True unless both outputs are positive: a guess that is never ranked."""
+        return not (self.power_w > 0 and self.perf_ips > 0)
 
 
 @dataclass(frozen=True)
@@ -95,13 +99,16 @@ def init_model(
 
     ``hidden_spec`` defaults to [2d, d] for d = ``input_dim``; an empty list
     yields a plain linear map.  Raises :class:`DimensionMismatch` when the
-    input or a hidden layer is less than 1 wide.
+    input or a hidden layer is less than 1 wide, and :class:`WattrankError`
+    for a negative ``seed``.
     """
     if hidden_spec is None:
         hidden_spec = [2 * input_dim, input_dim]
     dims = (input_dim, *hidden_spec, 2)
     if min(dims) < 1:
         raise DimensionMismatch(f"every layer needs a width of at least 1: {list(dims)}")
+    if seed < 0:
+        raise WattrankError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -304,7 +311,7 @@ def fit_linear_baseline(ds: TrainingDataset) -> MlpModel:
 
 
 def predict(m: MlpModel, profile: InstructionProfile, device: DeviceSpec) -> Prediction:
-    """Standardize, forward, de-standardize; negatives clamp to 0 (flagged).
+    """Standardize, forward, de-standardize; outputs of 0 or less stay (``clamped``).
     An output that is not finite raises :class:`WattrankError` naming the device."""
     if m.norm is None:
         raise FeatureContractMismatch("model has no normalization statistics")
@@ -318,14 +325,11 @@ def predict(m: MlpModel, profile: InstructionProfile, device: DeviceSpec) -> Pre
         out = m.norm.destandardize_targets(forward(m, m.norm.standardize_features(raw)))
     if not np.isfinite(out).all():
         raise WattrankError(f"prediction for device {device.name!r} is not finite: {out}")
-    clamped = bool((out < 0).any())
-    out = np.maximum(out, 0.0)
     return Prediction(
         power_w=float(out[0]),
         perf_ips=float(out[1]),
         device_name=device.name,
         workload_id=profile.workload_id,
-        clamped=clamped,
     )
 
 
@@ -370,9 +374,7 @@ def save_model(m: MlpModel, path) -> None:
         "seed": m.seed,
         "epochs_trained": m.epochs_trained,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    Path(path).write_text(json_dumps(doc) + "\n", encoding="utf-8")
 
 
 def load_model(path) -> MlpModel:

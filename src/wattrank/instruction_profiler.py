@@ -9,14 +9,13 @@ for the power/performance estimator.
 from __future__ import annotations
 
 import enum
-import json
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import WattrankError
-from .json_types import json_loads, json_value
+from .json_types import json_dumps, json_loads, json_value
 from .ptx_parser import PtxDocument
 
 
@@ -99,7 +98,7 @@ def profile_to_json(p: InstructionProfile) -> str:
         "counts": {cls.value: p.counts.get(cls, 0) for cls in CLASS_ORDER},
         "total": p.total,
     }
-    return json.dumps(doc, indent=2)
+    return json_dumps(doc, indent=2)
 
 
 def profile_from_json(text: str) -> InstructionProfile:

@@ -10,6 +10,11 @@ be any JSON number (not a boolean or a numeric string) and is returned as a
 float; a number that no float can hold raises ``ValueError``, any other
 mismatch ``TypeError``.  Each loader turns both into its own
 :class:`~wattrank.errors.WattrankError` and checks the values.
+
+Every writer encodes with :func:`json_dumps`, the output twin of the rule:
+it writes only strict JSON, so a NaN or infinite number raises
+:class:`~wattrank.errors.WattrankError` instead of becoming ``NaN`` or
+``Infinity``, tokens that strict parsers reject.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import json
 
 import numpy as np
+
+from .errors import WattrankError
 
 _NUMBER_TYPES = {int, float}
 _NOUNS = {str: "a string", int: "an integer", float: "a number", list: "an array",
@@ -29,6 +36,15 @@ def json_loads(text: str):
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to decode") from None
+
+
+def json_dumps(value, indent: int | None = None) -> str:
+    """``json.dumps(value, indent=indent)``, raising :class:`WattrankError`
+    for a number that is not finite."""
+    try:
+        return json.dumps(value, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise WattrankError(f"refusing to write JSON: {exc}") from None
 
 
 def json_value(value, kind: type):

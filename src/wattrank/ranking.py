@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -12,7 +11,7 @@ from .device_catalog import DeviceSpec
 from .errors import WattrankError
 from .estimator import MlpModel, Prediction, predict
 from .instruction_profiler import InstructionProfile
-from .json_types import json_loads, json_value
+from .json_types import json_dumps, json_loads, json_value
 
 
 class EmptyCatalog(WattrankError):
@@ -23,12 +22,11 @@ class AllDevicesExcluded(WattrankError):
     pass
 
 
-#: Each objective's score of a prediction; the highest score ranks first.  A
-#: clamped zero-power prediction has infinite perf per watt.
+#: Each objective's score of a ranked (positive) prediction; the highest ranks first.
 _SCORES = {
     "max_perf": lambda p: p.perf_ips,
     "min_power": lambda p: -p.power_w,
-    "max_perf_per_watt": lambda p: p.perf_ips / p.power_w if p.power_w > 0 else math.inf,
+    "max_perf_per_watt": lambda p: p.perf_ips / p.power_w,
 }
 OBJECTIVES = tuple(_SCORES)
 
@@ -73,9 +71,9 @@ def rank_predictions(
 ) -> RankingResult:
     """Order predictions by objective score (descending, ties by name).
 
-    Devices whose predicted power exceeds ``power_cap_w`` are listed
-    separately; :class:`AllDevicesExcluded` is raised when no device
-    survives the cap.  A NaN cap, which no power exceeds, is rejected.
+    A prediction that is not positive (:attr:`Prediction.clamped`) or whose
+    power exceeds ``power_cap_w`` is listed separately; :class:`AllDevicesExcluded`
+    is raised when no device is left.  A NaN cap, which no power exceeds, is rejected.
     """
     objective = resolve_objective(objective)
     score = _SCORES[objective]
@@ -85,12 +83,13 @@ def rank_predictions(
         raise EmptyCatalog("no devices to rank")
 
     cap = math.inf if power_cap_w is None else power_cap_w
-    excluded = sorted((p for p in predictions if p.power_w > cap), key=lambda p: p.device_name)
-    kept = [p for p in predictions if not p.power_w > cap]
+    excluded = sorted((p for p in predictions if p.clamped or p.power_w > cap),
+                      key=lambda p: p.device_name)
+    kept = [p for p in predictions if not (p.clamped or p.power_w > cap)]
     if not kept:
-        raise AllDevicesExcluded(
-            f"power cap {power_cap_w} W excludes every device"
-        )
+        n = sum(p.clamped for p in excluded)
+        raise AllDevicesExcluded(f"no device left to rank; excluded {n} not positive, "
+                                 f"{len(excluded) - n} over the power cap")
 
     kept.sort(key=lambda p: (-score(p), p.device_name))
     entries = [
@@ -138,7 +137,7 @@ def _row(item, columns) -> dict:
 
 
 def _json_report(result: RankingResult) -> str:
-    return json.dumps(
+    return json_dumps(
         {
             "objective": result.objective,
             "power_cap_w": result.power_cap_w,
@@ -169,9 +168,10 @@ def _table_report(result: RankingResult) -> str:
             f"{e.perf_ips:>14.4g} {e.objective_score:>14.6g}"
         )
     if result.excluded:
-        lines.append(f"excluded by power cap ({result.power_cap_w} W):")
+        lines.append("excluded:")
         for p in result.excluded:
-            lines.append(f"      {p.device_name:<12} predicted {p.power_w:.2f} W")
+            lines.append(f"      {p.device_name:<12} {p.power_w:>10.2f} {p.perf_ips:>14.4g}  "
+                         + ("not positive" if p.clamped else "over the power cap"))
     return "\n".join(lines) + "\n"
 
 

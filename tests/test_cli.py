@@ -244,7 +244,7 @@ def test_eval_prints_the_metrics_that_train_printed(workflow, tmp_path, capsys):
          "unknown-command", "no-command"],
 )
 def test_usage_errors_exit_one(argv, capsys):
-    """Exit 2 means only that a power cap excluded every device."""
+    """Exit 2 means only that no device is left to rank."""
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: wattrank") and captured.err.count("\n") == 1
@@ -534,6 +534,50 @@ def test_rank_of_a_catalog_whose_prediction_overflows_exits_one(workflow, tmp_pa
     captured = capsys.readouterr()
     assert captured.err.startswith("error: prediction for device 'V100' is not finite")
     assert captured.out == ""
+
+
+def _reject_constant(token):
+    raise AssertionError(f"stdout holds the non-JSON token {token}")
+
+
+def test_rank_excludes_a_device_whose_prediction_is_not_positive(corpus_path, tmp_path, capsys):
+    catalog, model = tmp_path / "hot.json", tmp_path / "model.json"
+    _save_identity_norm_model(model)
+    # a core clock of 20000 MHz drives the V100's predicted power below 0
+    v100, *others = default_catalog()
+    save_catalog([replace(v100, core_clock_mhz=20000.0), *others], catalog)
+    rank = ["rank", "--ptx", str(corpus_path), "--catalog", str(catalog), "--model", str(model)]
+    assert main([*rank, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert [e["device"] for e in doc["entries"]] == ["1080Ti", "2080Ti"]
+    assert [p["device"] for p in doc["excluded"]] == ["V100"]
+    assert doc["excluded"][0]["power_w"] < 0
+    assert main(rank) == 0
+    assert re.search(r"excluded:\n +V100 +-[0-9.]+ +[0-9.e+]+  not positive\n$",
+                     capsys.readouterr().out)
+
+    # every device out of range: no device is left to rank
+    save_catalog([replace(d, core_clock_mhz=20000.0) for d in default_catalog()], catalog)
+    assert main(rank) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: no device left to rank; excluded 3 not positive, 0 over the power cap\n")
+    assert captured.out == ""
+
+
+def test_a_negative_seed_exits_one(workflow, tmp_path, capsys):
+    samples, prefix = str(workflow / "samples"), tmp_path / "ds"
+    assert main(["dataset", "build", "--samples", samples, "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    for argv in (["dataset", "build", "--samples", samples, "--seed", "-1",
+                  "--out", str(tmp_path / "other")],
+                 ["train", "--dataset", str(prefix), "--seed", "-1",
+                  "--out", str(tmp_path / "model.json")]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv", "ds.json"]
 
 
 def test_devices_list_of_nan_catalog_exits_one(nan_catalog, capsys):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wattrank import synthetic
-from wattrank.dataset_builder import LabeledSample, assemble, feature_names
+from wattrank.dataset_builder import LabeledSample, assemble, feature_names, feature_vector
 from wattrank.device_catalog import DeviceSpec, default_catalog
 from wattrank.estimator import (
     CorruptFile,
@@ -88,6 +88,15 @@ def test_zero_hidden_layers_is_linear_map():
 def test_init_rejects_layers_narrower_than_one(input_dim, hidden):
     with pytest.raises(DimensionMismatch):
         init_model(input_dim, hidden)
+
+
+def test_a_negative_seed_is_an_error_that_names_it():
+    rng = np.random.default_rng(0)
+    samples = _samples(rng.normal(size=(10, 5)), rng.normal(size=(10, 2)))
+    for make in (lambda: assemble(samples, seed=-1), lambda: init_model(14, seed=-1)):
+        with pytest.raises(WattrankError, match="^seed must be a non-negative integer, got -1$"):
+            make()
+    assert assemble(samples, seed=0).seed == 0 and init_model(14, seed=0).seed == 0
 
 
 @pytest.mark.parametrize("epochs", [0, -5])
@@ -485,17 +494,28 @@ def test_predict_equals_manual_pipeline_composition(corpus_doc):
     assert (got.power_w, got.perf_ips) == (manual[0], manual[1])
 
 
-def test_predict_clamps_negative_outputs(corpus_doc):
+def test_predict_keeps_negative_outputs(corpus_doc):
     _, ds = _pipeline_fixture(seed=4)
     trained, _ = train(init_model(14, [], seed=3), ds, TrainConfig(epochs=50, patience=100))
-    # force a hugely negative output via doctored weights
-    doctored = MlpModel(trained.layer_dims,
-                        [np.zeros_like(w) for w in trained.weights],
-                        [np.full_like(trained.biases[-1], -1e6)],
+    # doctored weights: both outputs are -1e6 times the standardized SM count,
+    # hugely negative for DEVICE_A (10 SMs, above the mean of 9)
+    weights = np.zeros_like(trained.weights[0])
+    weights[:, feature_names().index("sm_count")] = -1e6
+    doctored = MlpModel(trained.layer_dims, [weights], [np.zeros(2)],
                         trained.norm, trained.seed)
-    prediction = predict(doctored, profile(corpus_doc, "copy_kernel"), DEVICE_A)
-    assert prediction.power_w == 0.0 and prediction.perf_ips == 0.0
+    prof = profile(corpus_doc, "copy_kernel")
+    prediction = predict(doctored, prof, DEVICE_A)
+    norm = trained.norm
+    raw = norm.destandardize_targets(
+        forward(doctored, norm.standardize_features(feature_vector(prof, DEVICE_A))))
+    assert (prediction.power_w, prediction.perf_ips) == (raw[0], raw[1])
+    assert prediction.power_w < 0 and prediction.perf_ips < 0
     assert prediction.clamped
+    small = replace(DEVICE_A, name="small", sm_count=8)
+    assert not predict(doctored, prof, small).clamped
+    result = rank_devices(prof, [DEVICE_A, small], doctored)
+    assert [e.device_name for e in result.entries] == ["small"]
+    assert result.excluded == [prediction]
 
 
 def test_predict_rejects_an_output_that_is_not_finite(corpus_doc):
@@ -559,9 +579,11 @@ def test_save_load_round_trip_bit_exact(tmp_path):
 
 
 def test_ridge_baseline_ranks_every_default_device(corpus_doc):
-    _, ds = _pipeline_fixture(seed=6)
     catalog = default_catalog()
-    result = rank_devices(profile(corpus_doc, "copy_kernel"), catalog, fit_linear_baseline(ds))
+    model = fit_linear_baseline(_default_synthetic())
+    prof = profile(corpus_doc, "copy_kernel")
+    assert not any(predict(model, prof, device).clamped for device in catalog)
+    result = rank_devices(prof, catalog, model)
     assert sorted(e.device_name for e in result.entries) == sorted(d.name for d in catalog)
     assert not result.excluded
 

@@ -242,6 +242,23 @@ def test_json_value_rejects_other_types(value, kind):
         json_value(value, kind)
 
 
+def test_every_writer_refuses_a_number_that_is_not_finite(tmp_path):
+    norm = NormStats(np.zeros(14), np.ones(14), np.zeros(2), np.ones(2))
+    model = replace(init_model(14, [], seed=0), norm=norm)
+    model.weights[0][0, 0] = math.nan
+    writers = [  # a perf per watt that overflows, a NaN weight, an infinite label and clock
+        lambda: report(rank_predictions([Prediction(1e-300, 1e10, "a", "w")]), "json"),
+        lambda: save_model(model, tmp_path / "model.json"),
+        lambda: sample_to_json(LabeledSample("w", "V100", np.ones(14), math.inf, 1.0)),
+        lambda: save_catalog(
+            [replace(default_catalog()[0], core_clock_mhz=-math.inf)], tmp_path / "catalog.json"),
+    ]
+    for write in writers:
+        with pytest.raises(WattrankError, match="JSON"):
+            write()
+    assert not list(tmp_path.iterdir())  # a refused file is not even created
+
+
 def test_json_value_rejects_numbers_no_float_holds():
     assert json_value(HUGE, int) == HUGE
     with pytest.raises(ValueError, match="out of range"):

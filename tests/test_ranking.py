@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,55 @@ def test_nan_power_cap_rejected():
 def test_empty_catalog():
     with pytest.raises(EmptyCatalog):
         rank_predictions([], "max_perf")
+
+
+def _reject_constant(token):
+    raise AssertionError(f"report holds the non-JSON token {token}")
+
+
+#: Watts or instructions per second: zero, or between 1e-6 and 1e3 either side of it.
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+
+
+@given(
+    st.lists(st.tuples(st.text(alphabet="abcdefgh", min_size=1, max_size=4), _VALUES, _VALUES),
+             min_size=1, max_size=8, unique_by=lambda t: t[0]),
+    st.sampled_from(["max_perf", "min_power", "max_perf_per_watt"]),
+    st.one_of(st.none(), st.floats(-10.0, 1e3)),
+)
+@settings(max_examples=200)
+def test_only_positive_predictions_under_the_cap_are_ranked(rows, objective, cap):
+    preds = [_pred(name, power, perf) for name, power, perf in rows]
+    limit = math.inf if cap is None else cap
+    try:
+        result = rank_predictions(preds, objective, power_cap_w=cap)
+    except AllDevicesExcluded:
+        assert all(p.clamped or p.power_w > limit for p in preds)
+        return
+    for e in result.entries:
+        assert 0 < e.power_w <= limit and e.perf_ips > 0 and math.isfinite(e.objective_score)
+    assert all(p.clamped or p.power_w > limit for p in result.excluded)
+    names = [e.device_name for e in result.entries] + [p.device_name for p in result.excluded]
+    assert sorted(names) == sorted(name for name, _, _ in rows)
+    json.loads(report(result, "json"), parse_constant=_reject_constant)
+
+
+def test_json_report_round_trips_not_positive_predictions():
+    preds = [Prediction(power, perf, name, workload_id="") for name, power, perf in
+             [("A", 100.0, 2e9), ("zero", 0.0, 1e9), ("neg", -3.5, 5e8),
+              ("slow", 90.0, -1e7), ("hot", 300.0, 3e9)]]
+    result = rank_predictions(preds, "max_perf_per_watt", power_cap_w=250.0)
+    assert [p.device_name for p in result.excluded] == ["hot", "neg", "slow", "zero"]
+    assert [p.clamped for p in result.excluded] == [False, True, True, True]
+    again = parse_report_json(report(result, "json"))
+    assert again == result
+    assert [p.clamped for p in again.excluded] == [False, True, True, True]
+
+
+def test_all_devices_excluded_counts_each_reason():
+    preds = [_pred("neg", -1.0, 1e9), _pred("zero", 100.0, 0.0), _pred("hot", 300.0, 1e9)]
+    with pytest.raises(AllDevicesExcluded, match="excluded 2 not positive, 1 over the power cap"):
+        rank_predictions(preds, "max_perf", power_cap_w=250.0)
 
 
 @given(
@@ -199,10 +249,10 @@ def test_unknown_format_rejected():
 
 
 def _capped_result():
-    """Three ranked devices, one over the cap, and a 0 W one whose perf per
-    watt is infinite."""
+    """Two ranked devices, one over the cap, and one whose predicted power is
+    not positive."""
     return rank_predictions(
-        [_pred("V100", 212.5, 3.25e9), _pred("idle", 0.0, 1e8),
+        [_pred("V100", 212.5, 3.25e9), _pred("idle", -12.5, 1e8),
          _pred("2080Ti", 180.0, 2.5e9), _pred("Titan", 320.0, 4e9)],
         "perf_per_watt",
         power_cap_w=250.0,
@@ -214,11 +264,11 @@ def test_report_texts_golden():
     assert report(result, "table") == (
         "objective: max_perf_per_watt   power cap: 250.0 W\n"
         "rank  device          power_w       perf_ips          score\n"
-        "   1  idle               0.00          1e+08            inf\n"
-        "   2  V100             212.50       3.25e+09    1.52941e+07\n"
-        "   3  2080Ti           180.00        2.5e+09    1.38889e+07\n"
-        "excluded by power cap (250.0 W):\n"
-        "      Titan        predicted 320.00 W\n"
+        "   1  V100             212.50       3.25e+09    1.52941e+07\n"
+        "   2  2080Ti           180.00        2.5e+09    1.38889e+07\n"
+        "excluded:\n"
+        "      Titan            320.00          4e+09  over the power cap\n"
+        "      idle             -12.50          1e+08  not positive\n"
     )
     assert report(result, "json") == """{
   "objective": "max_perf_per_watt",
@@ -226,20 +276,13 @@ def test_report_texts_golden():
   "entries": [
     {
       "rank": 1,
-      "device": "idle",
-      "power_w": 0.0,
-      "perf_ips": 100000000.0,
-      "score": Infinity
-    },
-    {
-      "rank": 2,
       "device": "V100",
       "power_w": 212.5,
       "perf_ips": 3250000000.0,
       "score": 15294117.647058824
     },
     {
-      "rank": 3,
+      "rank": 2,
       "device": "2080Ti",
       "power_w": 180.0,
       "perf_ips": 2500000000.0,
@@ -251,19 +294,23 @@ def test_report_texts_golden():
       "device": "Titan",
       "power_w": 320.0,
       "perf_ips": 4000000000.0
+    },
+    {
+      "device": "idle",
+      "power_w": -12.5,
+      "perf_ips": 100000000.0
     }
   ]
 }"""
     assert report(result, "csv") == (
         "rank,device,power_w,perf_ips,score\n"
-        "1,idle,0.0,100000000.0,inf\n"
-        "2,V100,212.5,3250000000.0,15294117.647058824\n"
-        "3,2080Ti,180.0,2500000000.0,13888888.888888888\n"
+        "1,V100,212.5,3250000000.0,15294117.647058824\n"
+        "2,2080Ti,180.0,2500000000.0,13888888.888888888\n"
     )
     again = parse_report_json(report(result, "json"))
     assert again.entries == result.entries
     assert [(p.device_name, p.power_w, p.perf_ips) for p in again.excluded] == [
-        ("Titan", 320.0, 4e9)
+        ("Titan", 320.0, 4e9), ("idle", -12.5, 1e8)
     ]
 
 
