@@ -12,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wattrank import synthetic
 from wattrank.dataset_builder import assemble
+from wattrank.errors import WattrankError
 from wattrank.estimator import (
     TrainConfig,
     evaluate,
@@ -60,4 +61,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except WattrankError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)

@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wattrank import synthetic
 from wattrank.dataset_builder import assemble, feature_importance, ingest_run, save_dataset
+from wattrank.errors import WattrankError
 from wattrank.estimator import TrainConfig, evaluate, init_model, save_model, train
 from wattrank.instruction_profiler import profile
 from wattrank.ptx_parser import parse_ptx_file
@@ -98,4 +99,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except WattrankError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)

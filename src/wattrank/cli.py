@@ -82,9 +82,12 @@ def _cmd_dataset_build(args) -> int:
     paths = sorted(Path(args.samples).glob("*.json"))
     if not paths:
         raise WattrankError(f"no sample JSON files in {args.samples}")
-    samples = [
-        dataset_builder.sample_from_json(p.read_text(encoding="utf-8")) for p in paths
-    ]
+    samples = []
+    for path in paths:
+        try:
+            samples.append(dataset_builder.sample_from_json(path.read_text(encoding="utf-8")))
+        except (WattrankError, UnicodeDecodeError) as exc:
+            raise WattrankError(f"{path}: {exc}") from exc
     ds = dataset_builder.assemble(
         samples, seed=args.seed, group_by_workload=args.group_by_workload
     )

@@ -11,7 +11,7 @@ and computes z-score statistics on the training split only.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +122,9 @@ def sample_from_json(text: str) -> LabeledSample:
             power_w=json_value(doc["power_w"], float),
             perf_ips=json_value(doc["perf_ips"], float),
         )
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except KeyError as exc:
+        raise InconsistentFeatureLength(f"bad sample JSON: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise InconsistentFeatureLength(f"bad sample JSON: {exc}") from exc
     if sample.features.shape != (len(feature_names()),):
         raise InconsistentFeatureLength(
@@ -180,11 +182,25 @@ class NormStats:
 
 @dataclass(frozen=True)
 class TrainingDataset:
+    """Samples split into train and val rows.  ``norm`` is not passed: it is
+    the z-score statistics of the train rows, worked out on construction, so
+    any split (a fold, say) standardizes with its own train rows only.  Raises
+    :class:`WattrankError` when a mean or std overflows a float."""
+
     samples: list[LabeledSample]
     train_indices: list[int]
     val_indices: list[int]
-    norm: NormStats
     seed: int
+    norm: NormStats = field(init=False)
+
+    def __post_init__(self):
+        X = self.feature_matrix(self.train_indices)
+        Y = self.target_matrix(self.train_indices)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = [X.mean(axis=0), X.std(axis=0), Y.mean(axis=0), Y.std(axis=0)]
+        if not all(np.isfinite(a).all() for a in stats):
+            raise WattrankError("the train rows' means or stds overflow a float")
+        object.__setattr__(self, "norm", NormStats(*stats))
 
     def feature_matrix(self, indices) -> np.ndarray:
         return np.stack([self.samples[i].features for i in indices])
@@ -192,18 +208,6 @@ class TrainingDataset:
     def target_matrix(self, indices) -> np.ndarray:
         return np.array([[self.samples[i].power_w, self.samples[i].perf_ips]
                          for i in indices], dtype=float)
-
-
-def train_norm_stats(samples: list[LabeledSample], train_indices) -> NormStats:
-    """Z-score statistics of the ``train_indices`` rows of ``samples``; raises
-    :class:`WattrankError` when one is not finite (a column overflows)."""
-    X = np.stack([samples[i].features for i in train_indices])
-    Y = np.array([[samples[i].power_w, samples[i].perf_ips] for i in train_indices])
-    with np.errstate(over="ignore", invalid="ignore"):
-        stats = [X.mean(axis=0), X.std(axis=0), Y.mean(axis=0), Y.std(axis=0)]
-    if not all(np.isfinite(a).all() for a in stats):
-        raise WattrankError("the train rows' means or stds overflow a float")
-    return NormStats(*stats)
 
 
 def _split_indices(seed: int, groups: list) -> tuple[list[int], list[int]]:
@@ -253,9 +257,7 @@ def assemble(
         first: dict = {}
         groups = [first.setdefault((s.workload_id, s.device_name), i)
                   for i, s in enumerate(samples)]
-    train_idx, val_idx = _split_indices(seed, groups)
-    return TrainingDataset(list(samples), train_idx, val_idx,
-                           train_norm_stats(samples, train_idx), seed)
+    return TrainingDataset(list(samples), *_split_indices(seed, groups), seed)
 
 
 _TARGET_COLUMN = {"power": 0, "perf": 1}
@@ -313,7 +315,7 @@ def save_dataset(ds: TrainingDataset, prefix) -> tuple[Path, Path]:
 
 
 def load_dataset(prefix) -> TrainingDataset:
-    """Inverse of :func:`save_dataset`, with :func:`train_norm_stats` of the rows.
+    """Inverse of :func:`save_dataset`; the statistics come from the train rows.
 
     A header other than the one :func:`save_dataset` writes for its width
     raises :class:`InconsistentFeatureLength`.  A row whose field count
@@ -363,7 +365,6 @@ def load_dataset(prefix) -> TrainingDataset:
             f"{json_path}: train_indices and val_indices do not split {n} rows"
         )
     try:
-        norm = train_norm_stats(samples, train_idx)
+        return TrainingDataset(samples, train_idx, val_idx, seed)
     except WattrankError as exc:
         raise WattrankError(f"{csv_path}: {exc}") from exc
-    return TrainingDataset(samples, train_idx, val_idx, norm, seed)

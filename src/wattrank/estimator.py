@@ -57,12 +57,15 @@ class MlpModel:
     layers apply ReLU, the final layer is affine.
     """
 
-    layer_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     norm: NormStats | None
     seed: int
     epochs_trained: int = 0
+
+    @property
+    def layer_dims(self) -> tuple[int, ...]:
+        return (self.weights[0].shape[1], *(w.shape[0] for w in self.weights))
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ def init_model(
         r = math.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-r, r, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(layer_dims=dims, weights=weights, biases=biases, norm=None, seed=seed)
+    return MlpModel(weights, biases, norm=None, seed=seed)
 
 
 def _layers(
@@ -307,7 +310,7 @@ def fit_linear_baseline(ds: TrainingDataset) -> MlpModel:
     Xa = np.hstack([X, np.ones((n, 1))])
     A = Xa.T @ Xa + RIDGE_PENALTY * np.eye(d + 1)
     coef = np.linalg.solve(A, Xa.T @ Y)  # (d+1, 2)
-    return MlpModel((d, 2), [coef[:-1].T], [coef[-1]], ds.norm, seed=0)
+    return MlpModel([coef[:-1].T], [coef[-1]], ds.norm, seed=0)
 
 
 def predict(m: MlpModel, profile: InstructionProfile, device: DeviceSpec) -> Prediction:
@@ -419,7 +422,4 @@ def load_model(path) -> MlpModel:
         raise CorruptFile(f"{path}: weight shapes do not chain with layer_dims")
     if not all(np.isfinite(a).all() for a in (*weights, *biases)):
         raise CorruptFile(f"{path}: non-finite weight or bias")
-    return MlpModel(
-        layer_dims=tuple(dims), weights=weights, biases=biases, norm=norm, seed=seed,
-        epochs_trained=epochs_trained,
-    )
+    return MlpModel(weights, biases, norm, seed, epochs_trained)

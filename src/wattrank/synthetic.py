@@ -11,12 +11,14 @@ truth to recover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset_builder import LabeledSample, feature_names, feature_vector, ingest_run
 from .device_catalog import DeviceSpec, default_catalog
+from .errors import WattrankError
 from .instruction_profiler import CLASS_ORDER, InstructionClass, InstructionProfile, profile
 from .ptx_parser import parse_ptx
 from .telemetry_ingest import RunMeta, parse_power_csv_text
@@ -82,6 +84,14 @@ class SyntheticConfig:
     n_workloads: int = 20
     seed: int = 7
     noise_frac: float = 0.01  # label noise sigma as a fraction of target range
+
+    def __post_init__(self):
+        if self.n_workloads < 1:
+            raise WattrankError(f"n_workloads must be at least 1, got {self.n_workloads}")
+        if self.seed < 0:
+            raise WattrankError(f"seed must be a non-negative integer, got {self.seed}")
+        if not (math.isfinite(self.noise_frac) and self.noise_frac >= 0):
+            raise WattrankError(f"noise_frac must be finite and >= 0, got {self.noise_frac}")
 
 
 @dataclass(frozen=True)

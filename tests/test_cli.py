@@ -687,6 +687,30 @@ def test_dataset_build_whose_statistics_overflow_exits_one(tmp_path, capsys):
     assert not (tmp_path / "ds.json").exists()
 
 
+@pytest.mark.parametrize(
+    "content,reason",
+    [(b'{"workload_id": "cnn_000"}', "bad sample JSON: missing field 'device_name'"),
+     (b'{"workload_id": "cnn_0', "bad sample JSON: "),
+     (b"\xff\xfe\x00b\x00a\x00d\x00", "'utf-8' codec can't decode")],
+    ids=["missing-field", "cut-short", "undecodable"],
+)
+def test_dataset_build_names_the_sample_it_cannot_read(workflow, tmp_path, capsys,
+                                                        content, reason):
+    samples = tmp_path / "samples"
+    samples.mkdir()
+    for path in sorted((workflow / "samples").glob("*.json"))[:10]:
+        (samples / path.name).write_text(path.read_text())
+    bad = samples / "sample_bad.json"
+    bad.write_bytes(content)
+    capsys.readouterr()
+    assert main(["dataset", "build", "--samples", str(samples),
+                 "--out", str(tmp_path / "ds")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: {reason}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "ds.csv").exists()
+
+
 def test_dataset_build_empty_dir_exits_one(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -12,6 +12,7 @@ from wattrank.dataset_builder import (
     InconsistentFeatureLength,
     LabeledSample,
     TooFewSamples,
+    TrainingDataset,
     assemble,
     feature_importance,
     feature_names,
@@ -350,6 +351,12 @@ def test_importance_invariant_under_positive_affine_feature_maps():
         assert b[name] == pytest.approx(a[name], abs=1e-9)
 
 
+def test_importance_rejects_an_unknown_target():
+    ds = assemble(_random_samples(12), seed=0)
+    with pytest.raises(ValueError, match="target must be 'power' or 'perf', got 'energy'"):
+        feature_importance(ds, "energy")
+
+
 def test_importance_constant_column_scores_zero():
     X = np.random.default_rng(3).normal(size=(20, 3))
     X[:, 0] = 1.0
@@ -424,6 +431,23 @@ def test_loaded_statistics_come_from_the_csv_rows(tmp_path):
         np.testing.assert_array_equal(got, want)
 
 
+def test_a_hand_built_fold_standardizes_with_its_own_train_rows():
+    """A leave-one-device-out fold cut from a dataset gets the statistics of
+    its own train rows, not those of the dataset it was cut from."""
+    ds = assemble(_random_samples(30, d=14), seed=5)
+    tr = [i for i, s in enumerate(ds.samples) if s.device_name != "d0"]
+    val = [i for i, s in enumerate(ds.samples) if s.device_name == "d0"]
+    fold = TrainingDataset(ds.samples, tr, val, ds.seed)
+    X = np.array([ds.samples[i].features for i in tr])
+    Y = np.array([[ds.samples[i].power_w, ds.samples[i].perf_ips] for i in tr])
+    want = [X.mean(axis=0), X.std(axis=0), Y.mean(axis=0), Y.std(axis=0)]
+    for got, expected in zip(_norm_list(fold.norm), want):
+        assert got.tobytes() == expected.tobytes()
+    assert fold.norm.target_means.tolist() != ds.norm.target_means.tolist()
+    with pytest.raises(TypeError, match="norm"):
+        TrainingDataset(ds.samples, tr, val, ds.seed, norm=ds.norm)
+
+
 @pytest.mark.parametrize("n,seed", [(3, 0), (7, 1), (60, 42)])
 def test_sidecars_with_stored_statistics_load_bit_identically(tmp_path, n, seed):
     """Sidecars that still carry ``norm_stats`` and ``feature_names`` load,
@@ -462,6 +486,17 @@ def test_load_dataset_rejects_bad_row_naming_it(tmp_path, bad_cell):
     with pytest.raises(UnparsableValue) as info:
         load_dataset(tmp_path / "ds")
     assert info.value.row == 3
+
+
+def test_load_dataset_skips_blank_rows(tmp_path):
+    ds = assemble(_random_samples(6, d=14), seed=1)
+    csv_path, _ = save_dataset(ds, tmp_path / "ds")
+    lines = csv_path.read_text().splitlines()
+    csv_path.write_text("\n".join([lines[0], "", *lines[1:3], "", "", *lines[3:], ""]) + "\n")
+    loaded = load_dataset(tmp_path / "ds")
+    assert [s.features.tolist() for s in loaded.samples] == [
+        s.features.tolist() for s in ds.samples]
+    assert loaded.norm.to_dict() == ds.norm.to_dict()
 
 
 def test_load_dataset_rejects_a_field_over_the_csv_size_limit(tmp_path):

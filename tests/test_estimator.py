@@ -107,7 +107,7 @@ def test_train_rejects_fewer_than_one_epoch(epochs):
 
 def test_forward_zero_network():
     m = init_model(6, [4], seed=0)
-    zeros = MlpModel(m.layer_dims, [np.zeros_like(w) for w in m.weights],
+    zeros = MlpModel([np.zeros_like(w) for w in m.weights],
                      [np.zeros_like(b) for b in m.biases], None, 0)
     assert forward(zeros, np.ones(6)).tolist() == [0.0, 0.0]
 
@@ -116,7 +116,7 @@ def test_forward_linear_matches_matrix_multiply():
     rng = np.random.default_rng(3)
     W = rng.normal(size=(2, 5))
     b = rng.normal(size=2)
-    m = MlpModel((5, 2), [W], [b], None, 0)
+    m = MlpModel([W], [b], None, 0)
     x = rng.normal(size=5)
     np.testing.assert_allclose(forward(m, x), W @ x + b, atol=1e-15)
     X = rng.normal(size=(7, 5))
@@ -128,7 +128,7 @@ def test_relu_kills_negative_preactivations():
     b0 = np.zeros(3)
     W1 = np.ones((2, 3))
     b1 = np.array([0.5, -0.5])
-    m = MlpModel((3, 3, 2), [W0, W1], [b0, b1], None, 0)
+    m = MlpModel([W0, W1], [b0, b1], None, 0)
     out = forward(m, np.array([1.0, 2.0, 3.0]))  # pre-activations all negative
     np.testing.assert_array_equal(out, b1)
 
@@ -136,6 +136,11 @@ def test_relu_kills_negative_preactivations():
 def test_forward_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         forward(init_model(4, [], seed=0), np.ones(5))
+
+
+def test_train_rejects_a_dataset_wider_than_the_model():
+    with pytest.raises(DimensionMismatch, match="dataset provides 5 features, model expects 4"):
+        train(init_model(4, [], seed=0), _linear_dataset(d=5))
 
 
 def test_gradient_check_fresh_default_model():
@@ -146,7 +151,7 @@ def test_gradient_check_fresh_default_model():
 
 def test_gradient_check_zero_network_zero_target():
     m = init_model(3, [2], seed=0)
-    zeros = MlpModel(m.layer_dims, [np.zeros_like(w) for w in m.weights],
+    zeros = MlpModel([np.zeros_like(w) for w in m.weights],
                      [np.zeros_like(b) for b in m.biases], None, 0)
     assert gradient_check(zeros, np.ones(3), np.zeros(2)) == 0.0
 
@@ -490,8 +495,12 @@ def test_predict_equals_manual_pipeline_composition(corpus_doc):
     manual = trained.norm.destandardize_targets(
         forward(trained, trained.norm.standardize_features(raw))
     )
-    manual = np.maximum(manual, 0.0)
     assert (got.power_w, got.perf_ips) == (manual[0], manual[1])
+
+
+def test_predict_refuses_an_untrained_model(corpus_doc):
+    with pytest.raises(FeatureContractMismatch, match="no normalization statistics"):
+        predict(init_model(14, [], seed=0), profile(corpus_doc, "copy_kernel"), DEVICE_A)
 
 
 def test_predict_keeps_negative_outputs(corpus_doc):
@@ -501,7 +510,7 @@ def test_predict_keeps_negative_outputs(corpus_doc):
     # hugely negative for DEVICE_A (10 SMs, above the mean of 9)
     weights = np.zeros_like(trained.weights[0])
     weights[:, feature_names().index("sm_count")] = -1e6
-    doctored = MlpModel(trained.layer_dims, [weights], [np.zeros(2)],
+    doctored = MlpModel([weights], [np.zeros(2)],
                         trained.norm, trained.seed)
     prof = profile(corpus_doc, "copy_kernel")
     prediction = predict(doctored, prof, DEVICE_A)
@@ -555,6 +564,30 @@ def test_prediction_ignores_a_constant_feature(corpus_doc):
     # a column that varies on the train rows does move the prediction
     tripled = replace(device, sm_count=3 * device.sm_count)
     assert predict(model, prof, tripled) != predict(model, prof, device)
+
+
+def test_save_model_refuses_an_untrained_model(tmp_path):
+    with pytest.raises(FeatureContractMismatch, match="untrained"):
+        save_model(init_model(5, [], seed=0), tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_a_model_with_numpy_integer_widths_saves_and_loads_bit_for_bit(tmp_path):
+    """The layer widths are read off the weights, so widths given as numpy
+    integers save like any others."""
+    model = init_model(5, list(np.array([6])), seed=1)
+    trained, _ = train(model, _linear_dataset(), TrainConfig(epochs=20, patience=50))
+    assert trained.layer_dims == (5, 6, 2)
+    path = tmp_path / "model.json"
+    save_model(trained, path)
+    again = load_model(path)
+    assert again.layer_dims == trained.layer_dims
+    for got, want in zip([*again.weights, *again.biases], [*trained.weights, *trained.biases]):
+        assert got.tobytes() == want.tobytes()
+    assert again.norm.to_dict() == trained.norm.to_dict()
+    text = path.read_text()
+    save_model(again, path)
+    assert path.read_text() == text
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):

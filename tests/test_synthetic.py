@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from wattrank import synthetic
 from wattrank.dataset_builder import feature_vector
+from wattrank.errors import WattrankError
 from wattrank.instruction_profiler import CLASS_ORDER, profile
 from wattrank.ptx_parser import parse_ptx
 
@@ -21,6 +23,15 @@ def test_workload_ptx_profiles_to_its_counts(counts, name, seed):
     prof = profile(parse_ptx(text), name)
     assert prof.counts == {cls: counts.get(cls, 0) for cls in CLASS_ORDER}
     assert prof.total == sum(counts.values())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", -1), ("n_workloads", 0), ("n_workloads", -3),
+    ("noise_frac", -0.5), ("noise_frac", math.nan), ("noise_frac", math.inf),
+])
+def test_config_names_the_field_it_refuses(field, value):
+    with pytest.raises(WattrankError, match=f"^{field} must be .*, got {value}$"):
+        synthetic.SyntheticConfig(**{field: value})
 
 
 @pytest.mark.parametrize("seed", [0, 7])
